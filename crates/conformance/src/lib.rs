@@ -30,7 +30,7 @@
 //!   proptest engine has no shrinking);
 //! * [`corpus`] + [`json`] — a checked-in regression corpus of JSON
 //!   instances, replayed on every run, with a self-contained canonical
-//!   JSON codec (the offline build stubs out `serde_json`).
+//!   JSON codec (the build has no `serde_json`).
 //!
 //! The [`runner`] module ties the layers into the `conformance` binary:
 //! corpus replay first, then seeded fuzzing, shrinking and optionally

@@ -1,13 +1,23 @@
 //! A minimal, dependency-free canonical JSON codec.
 //!
-//! The offline build stubs out `serde_json` (see `third_party/`), so
-//! everything that speaks JSON — the conformance regression corpus, the
-//! service status snapshots, and the `amp-net` wire protocol — shares this
-//! codec instead. It implements the subset those formats need — objects,
-//! arrays, strings, unsigned integers, booleans — with a recursive-descent
-//! parser and two deterministic renderers: an indented form for files read
-//! by humans ([`Json::render`]) and a single-line form for
-//! newline-delimited wire framing ([`Json::render_compact`]).
+//! The build has no `serde_json` (see `third_party/`), so everything
+//! that speaks JSON — the conformance regression corpus, the service
+//! status snapshots, the chain-tier snapshots, the `amp-net` wire
+//! protocol and the experiment reports — shares this codec instead. It
+//! implements the subset those formats need — objects, arrays, strings,
+//! unsigned integers, booleans — with one scanner and two deterministic
+//! renderers: an indented form for files read by humans
+//! ([`Json::render`]) and a single-line form for newline-delimited wire
+//! framing ([`Json::render_compact`]).
+//!
+//! The scanner is [`Lexer`], a borrowing pull lexer that reads the input
+//! in one pass and in linear time: each byte is visited once, a string
+//! without escapes comes back as a slice of the input, and an escaped one
+//! is copied run by run. It has two consumers. [`Json::parse`] is a thin
+//! tree builder over it ([`Lexer::tree`]); decoders with a fixed schema
+//! (the wire request decoder in `amp-net`) pull tokens straight into their
+//! own types and call the tree builder only for the values they do not
+//! expect. Both see the same errors at the same offsets.
 //!
 //! Deliberate limits (documents violating them are rejected loudly rather
 //! than mis-read): numbers are unsigned 64-bit integers — no floats, no
@@ -16,7 +26,8 @@
 //! Both renderers are fixpoints under `parse`: `parse(render(v)) == v` and
 //! re-rendering parsed canonical output reproduces it byte-for-byte.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt;
 
 /// A parsed JSON value.
@@ -61,16 +72,9 @@ impl Json {
     /// Returns a [`JsonError`] with the offending byte offset on any
     /// syntax violation or unsupported construct (floats, duplicate keys).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after the document"));
-        }
+        let mut lexer = Lexer::new(input);
+        let value = lexer.value()?;
+        lexer.finish()?;
         Ok(value)
     }
 
@@ -243,182 +247,322 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// One value's head as [`Lexer::token`] reads it: a whole scalar, or the
+/// opening bracket of a container whose contents the caller pulls next.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Token<'a> {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// An unsigned integer.
+    Int(u64),
+    /// A string: borrowed from the input unless it contains escapes.
+    Str(Cow<'a, str>),
+    /// `[` — pull the elements with [`Lexer::elements`].
+    ArrStart,
+    /// `{` — pull the members with [`Lexer::members`].
+    ObjStart,
+}
+
+/// A borrowing pull lexer over one JSON document: the one scanner behind
+/// [`Json::parse`] and every decoder that reads a document straight into
+/// its own types.
+///
+/// Each byte is visited once. Leading whitespace is skipped before every
+/// token and separator, never after a value, so an error's offset is the
+/// same whichever consumer drives the lexer.
+#[derive(Debug)]
+pub struct Lexer<'a> {
+    text: &'a str,
     pos: usize,
 }
 
-impl Parser<'_> {
-    fn err(&self, message: impl Into<String>) -> JsonError {
-        JsonError {
-            offset: self.pos,
-            message: message.into(),
-        }
+impl<'a> Lexer<'a> {
+    /// A lexer positioned at the start of `text`.
+    #[must_use]
+    pub fn new(text: &'a str) -> Self {
+        Lexer { text, pos: 0 }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    /// The error a repeated object key raises, at the current offset
+    /// (just past the repeated member's value).
+    #[must_use]
+    pub fn duplicate_key(&self, key: &str) -> JsonError {
+        self.error(format!("duplicate key {key:?}"))
     }
 
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.err(format!("expected '{word}'")))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, JsonError> {
+    /// Reads the next value's head.
+    ///
+    /// # Errors
+    /// Any syntax violation or unsupported construct in the scalar or at
+    /// the bracket.
+    #[inline]
+    pub fn token(&mut self) -> Result<Token<'a>, JsonError> {
+        self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'0'..=b'9') => self.integer(),
-            Some(b'-') => Err(self.err("negative numbers are not part of the format")),
-            Some(c) => Err(self.err(format!("unexpected character '{}'", c as char))),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn integer(&mut self) -> Result<Json, JsonError> {
-        let start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
-            return Err(self.err("floats are not part of the format"));
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are ascii");
-        if text.len() > 1 && text.starts_with('0') {
-            return Err(self.err("leading zeros are not valid JSON"));
-        }
-        text.parse::<u64>()
-            .map(Json::Int)
-            .map_err(|_| self.err("integer out of u64 range"))
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            let c = char::from_u32(code)
-                                .ok_or_else(|| self.err("\\u escape outside the BMP subset"))?;
-                            out.push(c);
-                            self.pos += 3; // the final +1 below covers the 4th digit
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one full UTF-8 scalar, not one byte.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = rest.chars().next().expect("peeked a byte");
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("unescaped control character in string"));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            Some(b'{') => {
+                self.pos += 1;
+                Ok(Token::ObjStart)
             }
+            Some(b'[') => {
+                self.pos += 1;
+                Ok(Token::ArrStart)
+            }
+            Some(b'"') => self.string().map(Token::Str),
+            Some(b't') => self.literal("true", Token::Bool(true)),
+            Some(b'f') => self.literal("false", Token::Bool(false)),
+            Some(b'n') => self.literal("null", Token::Null),
+            Some(b'0'..=b'9') => self.integer().map(Token::Int),
+            Some(b'-') => Err(self.error("negative numbers are not part of the format")),
+            Some(c) => Err(self.error(format!("unexpected character '{}'", c as char))),
+            None => Err(self.error("unexpected end of input")),
         }
     }
 
-    fn array(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
+    /// Pulls the elements of the array whose [`Token::ArrStart`] was just
+    /// read, through the closing `]`. `each` must consume exactly one
+    /// value per call.
+    ///
+    /// # Errors
+    /// The first error `each` returns, or a missing separator.
+    pub fn elements(
+        &mut self,
+        mut each: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            return Ok(());
         }
         loop {
-            self.skip_ws();
-            items.push(self.value()?);
+            each(self)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    return Ok(());
                 }
-                _ => return Err(self.err("expected ',' or ']' in array")),
+                _ => return Err(self.error("expected ',' or ']' in array")),
             }
         }
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
+    /// Pulls the members of the object whose [`Token::ObjStart`] was just
+    /// read, through the closing `}`. `each` gets the decoded key and must
+    /// consume exactly the member's value; rejecting a repeated key (with
+    /// [`Lexer::duplicate_key`], after the value) is the caller's job.
+    ///
+    /// # Errors
+    /// The first error `each` returns, or a malformed key or separator.
+    pub fn members(
+        &mut self,
+        mut each: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(map));
+            return Ok(());
         }
         loop {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
             self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            if map.insert(key.clone(), value).is_some() {
-                return Err(self.err(format!("duplicate key {key:?}")));
-            }
+            each(self, key)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(map));
+                    return Ok(());
                 }
-                _ => return Err(self.err("expected ',' or '}' in object")),
+                _ => return Err(self.error("expected ',' or '}' in object")),
             }
         }
+    }
+
+    /// Reads the next value whole, as a tree.
+    ///
+    /// # Errors
+    /// As [`Lexer::tree`].
+    pub fn value(&mut self) -> Result<Json, JsonError> {
+        let head = self.token()?;
+        self.tree(head)
+    }
+
+    /// Completes the value `head` started as a tree, rejecting duplicate
+    /// keys at every depth.
+    ///
+    /// # Errors
+    /// The first syntax violation, unsupported construct or duplicate key
+    /// in document order.
+    pub fn tree(&mut self, head: Token<'a>) -> Result<Json, JsonError> {
+        Ok(match head {
+            Token::Null => Json::Null,
+            Token::Bool(b) => Json::Bool(b),
+            Token::Int(n) => Json::Int(n),
+            Token::Str(s) => Json::Str(s.into_owned()),
+            Token::ArrStart => {
+                let mut items = Vec::new();
+                self.elements(|lx| {
+                    items.push(lx.value()?);
+                    Ok(())
+                })?;
+                Json::Arr(items)
+            }
+            Token::ObjStart => {
+                let mut map = BTreeMap::new();
+                self.members(|lx, key| {
+                    let value = lx.value()?;
+                    match map.entry(key.into_owned()) {
+                        Entry::Vacant(slot) => {
+                            slot.insert(value);
+                            Ok(())
+                        }
+                        Entry::Occupied(slot) => Err(lx.duplicate_key(slot.key())),
+                    }
+                })?;
+                Json::Obj(map)
+            }
+        })
+    }
+
+    /// Accepts trailing whitespace and nothing else.
+    ///
+    /// # Errors
+    /// Anything left after the document.
+    pub fn finish(mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos == self.text.len() {
+            Ok(())
+        } else {
+            Err(self.error("trailing characters after the document"))
+        }
+    }
+
+    /// An error at the current offset.
+    fn error(&self, message: impl Into<String>) -> JsonError {
+        JsonError {
+            offset: self.pos,
+            message: message.into(),
+        }
+    }
+
+    #[inline]
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    #[inline]
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    #[inline]
+    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(self.error(format!("expected '{}'", b as char)))
+        }
+    }
+
+    fn literal(&mut self, word: &str, token: Token<'a>) -> Result<Token<'a>, JsonError> {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(token)
+        } else {
+            Err(self.error(format!("expected '{word}'")))
+        }
+    }
+
+    #[inline]
+    fn integer(&mut self) -> Result<u64, JsonError> {
+        let start = self.pos;
+        let mut value = Some(0u64);
+        while let Some(d @ b'0'..=b'9') = self.peek() {
+            value = value
+                .and_then(|v| v.checked_mul(10))
+                .and_then(|v| v.checked_add(u64::from(d - b'0')));
+            self.pos += 1;
+        }
+        if matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
+            return Err(self.error("floats are not part of the format"));
+        }
+        if self.pos - start > 1 && self.text.as_bytes()[start] == b'0' {
+            return Err(self.error("leading zeros are not valid JSON"));
+        }
+        value.ok_or_else(|| self.error("integer out of u64 range"))
+    }
+
+    /// Scans a string once: an escape-free string is a slice of the input
+    /// (which is already UTF-8, so multi-byte scalars need no decoding);
+    /// escapes switch to an owned copy assembled run by run.
+    #[inline]
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        self.expect(b'"')?;
+        let mut run = self.pos;
+        let mut owned: Option<String> = None;
+        loop {
+            match self.peek() {
+                None => return Err(self.error("unterminated string")),
+                Some(b'"') => {
+                    let tail = &self.text[run..self.pos];
+                    self.pos += 1;
+                    return Ok(match owned {
+                        None => Cow::Borrowed(tail),
+                        Some(mut s) => {
+                            s.push_str(tail);
+                            Cow::Owned(s)
+                        }
+                    });
+                }
+                Some(b'\\') => {
+                    let s = owned.get_or_insert_with(String::new);
+                    s.push_str(&self.text[run..self.pos]);
+                    self.pos += 1;
+                    s.push(self.escape()?);
+                    run = self.pos;
+                }
+                Some(0..=0x1f) => return Err(self.error("unescaped control character in string")),
+                Some(_) => self.pos += 1,
+            }
+        }
+    }
+
+    /// Decodes one escape; the lexer is on the character after the `\`.
+    fn escape(&mut self) -> Result<char, JsonError> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                self.pos += 1;
+                // `get` fails past the end and mid-scalar alike: either way
+                // the four hex digits are not there.
+                let hex = self
+                    .text
+                    .get(self.pos..self.pos + 4)
+                    .ok_or_else(|| self.error("truncated \\u escape"))?;
+                let code =
+                    u32::from_str_radix(hex, 16).map_err(|_| self.error("invalid \\u escape"))?;
+                let c = char::from_u32(code)
+                    .ok_or_else(|| self.error("\\u escape outside the BMP subset"))?;
+                self.pos += 4;
+                return Ok(c);
+            }
+            _ => return Err(self.error("unknown escape")),
+        };
+        self.pos += 1;
+        Ok(c)
     }
 }
 
@@ -478,6 +622,89 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must be rejected");
         }
+    }
+
+    /// Escapes and multi-byte scalars decode wherever they sit in a
+    /// string: first, last and side by side.
+    #[test]
+    fn escapes_and_multibyte_scalars_at_string_edges() {
+        for (doc, want) in [
+            (r#""\n""#, "\n"),
+            (r#""\u00e9x""#, "éx"),
+            (r#""x\t""#, "x\t"),
+            (r#""é""#, "é"),
+            (r#""éx""#, "éx"),
+            (r#""xé""#, "xé"),
+            (r#""€\"""#, "€\""),
+            (r#""\"€""#, "\"€"),
+            (r#""\\é\u20ac𝄞\/""#, "\\é€𝄞/"),
+            (r#""𝄞\n\r\t""#, "𝄞\n\r\t"),
+            (r#""\u0041\u00e9\u20ac""#, "Aé€"),
+            (r#""é€𝄞""#, "é€𝄞"),
+        ] {
+            assert_eq!(Json::parse(doc), Ok(Json::Str(want.to_string())), "{doc}");
+        }
+        // Escaped keys are decoded before the duplicate check.
+        let err = Json::parse(r#"{"é":1,"\u00e9":2}"#).unwrap_err();
+        assert_eq!(err.message, "duplicate key \"é\"");
+    }
+
+    /// An escape-free string is a slice of the input; an escaped one is
+    /// an owned copy.
+    #[test]
+    fn lexer_borrows_unescaped_strings() {
+        let mut lexer = Lexer::new(r#"["é€", "a\nb"]"#);
+        assert_eq!(lexer.token(), Ok(Token::ArrStart));
+        let mut strings = Vec::new();
+        lexer
+            .elements(|lx| {
+                strings.push(lx.token()?);
+                Ok(())
+            })
+            .unwrap();
+        lexer.finish().unwrap();
+        assert!(matches!(&strings[0], Token::Str(Cow::Borrowed("é€"))));
+        assert!(matches!(&strings[1], Token::Str(Cow::Owned(s)) if s == "a\nb"));
+    }
+
+    /// Every error class keeps its offset and message.
+    #[test]
+    fn errors_pin_offset_and_message() {
+        for (doc, offset, message) in [
+            ("", 0, "unexpected end of input"),
+            ("  ", 2, "unexpected end of input"),
+            ("-1", 0, "negative numbers are not part of the format"),
+            ("[é]", 1, "unexpected character 'Ã'"),
+            ("1.5", 1, "floats are not part of the format"),
+            ("01.5", 2, "floats are not part of the format"),
+            ("007", 3, "leading zeros are not valid JSON"),
+            ("18446744073709551616", 20, "integer out of u64 range"),
+            ("tru", 0, "expected 'true'"),
+            ("[1 2]", 3, "expected ',' or ']' in array"),
+            ("[1,]", 3, "unexpected character ']'"),
+            ("{\"a\" 1}", 5, "expected ':'"),
+            ("{1:2}", 1, "expected '\"'"),
+            ("{\"a\":1 \"b\":2}", 7, "expected ',' or '}' in object"),
+            ("{\"a\":[1],\"a\" : [2] }", 18, "duplicate key \"a\""),
+            ("\"abc", 4, "unterminated string"),
+            ("\"a\u{1}\"", 2, "unescaped control character in string"),
+            ("\"\\x\"", 2, "unknown escape"),
+            ("\"\\", 2, "unknown escape"),
+            ("\"\\u12\"", 3, "truncated \\u escape"),
+            ("\"\\u123é\"", 3, "truncated \\u escape"),
+            ("\"\\u12g4\"", 3, "invalid \\u escape"),
+            ("\"\\ud800\"", 3, "\\u escape outside the BMP subset"),
+            ("{} x", 3, "trailing characters after the document"),
+        ] {
+            let err = Json::parse(doc).unwrap_err();
+            assert_eq!(
+                (err.offset, err.message.as_str()),
+                (offset, message),
+                "{doc:?}"
+            );
+        }
+        // `u32::from_str_radix` admits a leading `+`, and so does the codec.
+        assert_eq!(Json::parse("\"\\u+041\""), Ok(Json::Str("A".to_string())));
     }
 
     #[test]

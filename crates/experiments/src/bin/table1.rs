@@ -4,9 +4,10 @@
 //! usage per type.
 //!
 //! Usage: `table1 [--chains N] [--json PATH]` (default 1000 chains, as in
-//! the paper).
+//! the paper). `--json` also writes the table as canonical JSON, one row
+//! per (pool, stateless ratio, strategy).
 
-use amp_experiments::{run_campaign, CampaignConfig};
+use amp_experiments::{run_campaign, table1_json, CampaignConfig};
 use amp_workload::{table1_resources, PAPER_STATELESS_RATIOS};
 
 fn main() {
@@ -47,8 +48,7 @@ fn main() {
     }
 
     if let Some(path) = json_path {
-        let json = serde_json::to_string_pretty(&all).expect("serializable outcome");
-        std::fs::write(path, json).expect("writing the JSON report");
+        std::fs::write(path, table1_json(&all).render()).expect("writing the JSON report");
         eprintln!("wrote {path}");
     }
 }

@@ -3,10 +3,12 @@
 //! and core usage.
 
 use crate::stats::{slowdown_ratio, Summary};
+use amp_core::json::Json;
 use amp_core::sched::{paper_strategies, schedule_many_with, SchedScratch};
 use amp_core::Resources;
 use amp_workload::SyntheticConfig;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// Campaign parameters (defaults mirror the paper: 1000 chains of 20
 /// tasks).
@@ -111,6 +113,48 @@ impl SweepOutcome {
             })
             .collect()
     }
+}
+
+/// Table I as a JSON document: the chain count per cell and one row per
+/// (pool, stateless ratio, strategy), in campaign order. The codec has no
+/// floats, so every fractional figure is a decimal string with four
+/// places (`"1.0417"`; `"inf"` where a strategy found no schedule).
+#[must_use]
+pub fn table1_json(outcomes: &[SweepOutcome]) -> Json {
+    let fixed = |x: f64| Json::Str(format!("{x:.4}"));
+    let rows = outcomes
+        .iter()
+        .flat_map(|outcome| {
+            outcome.strategies.iter().map(move |s| {
+                let summary = s.summary();
+                let usage = s.core_usage();
+                let resources = outcome.config.resources;
+                Json::Obj(BTreeMap::from([
+                    ("big".to_string(), Json::Int(resources.big)),
+                    ("little".to_string(), Json::Int(resources.little)),
+                    (
+                        "stateless_ratio".to_string(),
+                        fixed(outcome.config.stateless_ratio),
+                    ),
+                    ("strategy".to_string(), Json::Str(s.name.clone())),
+                    (
+                        "optimal_pct".to_string(),
+                        fixed(summary.optimal_fraction * 100.0),
+                    ),
+                    ("avg_slowdown".to_string(), fixed(summary.avg)),
+                    ("median_slowdown".to_string(), fixed(summary.med)),
+                    ("max_slowdown".to_string(), fixed(summary.max)),
+                    ("big_used".to_string(), fixed(usage.big)),
+                    ("little_used".to_string(), fixed(usage.little)),
+                ]))
+            })
+        })
+        .collect();
+    let chains = outcomes.first().map_or(0, |o| o.config.chains as u64);
+    Json::Obj(BTreeMap::from([
+        ("chains".to_string(), Json::Int(chains)),
+        ("rows".to_string(), Json::Arr(rows)),
+    ]))
 }
 
 /// Runs the campaign for one (R, SR) cell on the current thread — see

@@ -21,7 +21,8 @@ pub mod stats;
 pub mod timing;
 
 pub use campaign::{
-    run_campaign, run_campaign_with_workers, CampaignConfig, CoreUsage, StrategyStats, SweepOutcome,
+    run_campaign, run_campaign_with_workers, table1_json, CampaignConfig, CoreUsage, StrategyStats,
+    SweepOutcome,
 };
 pub use stats::{cdf_points, mean, median, slowdown_ratio, Summary};
 pub use timing::{time_strategies, StrategyTiming, TimingConfig};

@@ -30,6 +30,21 @@
 //! Control frames: `{"op":"status"}` returns the server status
 //! snapshot, `{"op":"ping"}` returns a pong (liveness probes).
 //!
+//! ## Decoding
+//!
+//! [`parse_request`] reads a frame in one pass, in linear time, on the
+//! same [`Lexer`] that [`Json::parse`] builds trees with. Integers and
+//! strings land in per-field slots (strings borrowed from the line
+//! unless escaped) and `tasks` decodes straight into `Vec<TaskSpec>`, so
+//! a canonical frame allocates only what the request owns. Values of a
+//! shape the protocol does not expect go through the lexer's tree
+//! builder, which syntax-checks them whole: a non-object root, an
+//! unknown key's value, a wrong-typed field, a task that is not an
+//! integer triple and a non-string `op` (rendered back in its
+//! rejection). Syntax errors therefore outrank every field check, and
+//! duplicate keys are rejected at every depth, exactly as a full parse
+//! followed by a field lookup would.
+//!
 //! ## Responses (server → client)
 //!
 //! `{"id":7,"ok":{...outcome...}}` on success;
@@ -40,9 +55,10 @@
 //! `FRAME_TOO_LARGE` and `QUOTA_EXCEEDED`. The period travels as the
 //! exact `"num/den"` string — the wire format has no floats.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet};
 
-use amp_core::json::Json;
+use amp_core::json::{Json, JsonError, Lexer, Token};
 use amp_core::CoreType;
 use amp_service::{
     Objective, Policy, ScheduleOutcome, ScheduleRequest, ScheduleResponse, TaskSpec,
@@ -94,145 +110,288 @@ pub enum WireRequest {
 ///
 /// On error the result carries the recovered request id when one was
 /// present, so the rejection can still be correlated.
+///
+/// One pass over the frame: a syntax error anywhere wins (as a
+/// `PARSE_ERROR` with no id); only then do the field checks run, in a
+/// fixed order — op, id, big, little, deadline_us, tenant,
+/// objective/target_period, policy, tasks, task count, task shape.
 pub fn parse_request(
     line: &str,
     max_tasks: usize,
 ) -> Result<WireRequest, (Option<u64>, WireError)> {
-    let value = Json::parse(line).map_err(|e| (None, WireError::parse(e.to_string())))?;
-    let Json::Obj(fields) = value else {
-        return Err((None, WireError::parse("frame must be a JSON object")));
-    };
-    // Recover the id first so even malformed schedule frames reject
-    // with a correlatable error.
-    let id = match fields.get("id") {
-        Some(Json::Int(n)) => Some(*n),
-        _ => None,
-    };
-    let fail = |id: Option<u64>, e: WireError| Err((id, e));
-    if let Some(op) = fields.get("op") {
-        return match op {
-            Json::Str(s) if s == "status" => Ok(WireRequest::Status),
-            Json::Str(s) if s == "ping" => Ok(WireRequest::Ping),
-            other => fail(
-                id,
-                WireError::bad_request(format!("unknown op {}", other.render_compact())),
-            ),
-        };
+    let syntax = |e: JsonError| (None, WireError::parse(e.to_string()));
+    let mut lexer = Lexer::new(line);
+    let mut frame = Frame::default();
+    match lexer.token().map_err(syntax)? {
+        Token::ObjStart => lexer
+            .members(|lx, key| frame.member(lx, key, max_tasks))
+            .map_err(syntax)?,
+        other => {
+            lexer.tree(other).map_err(syntax)?;
+            lexer.finish().map_err(syntax)?;
+            return Err((None, WireError::parse("frame must be a JSON object")));
+        }
     }
-    let Some(id) = id else {
-        return fail(None, WireError::bad_request("missing integer \"id\""));
-    };
-    let int_field = |name: &str| -> Result<u64, (Option<u64>, WireError)> {
-        match fields.get(name) {
-            Some(Json::Int(n)) => Ok(*n),
-            _ => Err((
-                Some(id),
-                WireError::bad_request(format!("missing integer {name:?}")),
-            )),
+    lexer.finish().map_err(syntax)?;
+    frame.request(max_tasks)
+}
+
+const NOT_A_TRIPLE: &str = "each task must be a [big, little, replicable] triple";
+const BAD_TRIPLE: &str = "each task must be [weight_big, weight_little, replicable(0|1)]";
+
+/// What one pass over a request frame leaves for the field checks.
+/// Strings borrow from the frame unless they were escaped. A slot of
+/// type `Option<Option<T>>` tells an absent key (`None`) from a value
+/// of the wrong type (`Some(None)`) where the checks answer differently.
+#[derive(Default)]
+struct Frame<'a> {
+    /// One bit per known key, to reject repeats.
+    seen: u16,
+    /// Keys the protocol does not use: ignored, but still unique.
+    unknown: BTreeSet<Cow<'a, str>>,
+    /// `Err` holds a non-string op, rendered back in the rejection.
+    op: Option<Result<Cow<'a, str>, Json>>,
+    id: Option<u64>,
+    big: Option<u64>,
+    little: Option<u64>,
+    deadline_us: Option<Option<u64>>,
+    tenant: Option<Option<Cow<'a, str>>>,
+    objective: Option<Option<Cow<'a, str>>>,
+    target_period: Option<Cow<'a, str>>,
+    policy: Option<Cow<'a, str>>,
+    tasks: Option<Tasks>,
+}
+
+/// The `tasks` array as decoded: triples up to the first malformed item
+/// or the server's limit, whichever comes first; past either, items are
+/// only counted (and syntax-checked).
+struct Tasks {
+    specs: Vec<TaskSpec>,
+    count: usize,
+    malformed: Option<&'static str>,
+}
+
+impl<'a> Frame<'a> {
+    /// Decodes one member. Values of an unexpected shape go through the
+    /// tree builder, so a syntax error inside them reads as before.
+    fn member(
+        &mut self,
+        lx: &mut Lexer<'a>,
+        key: Cow<'a, str>,
+        max_tasks: usize,
+    ) -> Result<(), JsonError> {
+        let bit = match &*key {
+            "op" => {
+                self.op = Some(match lx.token()? {
+                    Token::Str(s) => Ok(s),
+                    other => Err(lx.tree(other)?),
+                });
+                1 << 0
+            }
+            "id" => {
+                self.id = int(lx)?;
+                1 << 1
+            }
+            "big" => {
+                self.big = int(lx)?;
+                1 << 2
+            }
+            "little" => {
+                self.little = int(lx)?;
+                1 << 3
+            }
+            "deadline_us" => {
+                self.deadline_us = Some(int(lx)?);
+                1 << 4
+            }
+            "tenant" => {
+                self.tenant = Some(string(lx)?);
+                1 << 5
+            }
+            "objective" => {
+                self.objective = Some(string(lx)?);
+                1 << 6
+            }
+            "target_period" => {
+                self.target_period = string(lx)?;
+                1 << 7
+            }
+            "policy" => {
+                self.policy = string(lx)?;
+                1 << 8
+            }
+            "tasks" => {
+                self.tasks = match lx.token()? {
+                    Token::ArrStart => Some(tasks(lx, max_tasks)?),
+                    other => {
+                        lx.tree(other)?;
+                        None
+                    }
+                };
+                1 << 9
+            }
+            _ => {
+                lx.value()?;
+                if self.unknown.contains(&key) {
+                    return Err(lx.duplicate_key(&key));
+                }
+                self.unknown.insert(key);
+                return Ok(());
+            }
+        };
+        if self.seen & bit != 0 {
+            return Err(lx.duplicate_key(&key));
         }
-    };
-    let big_cores = int_field("big")?;
-    let little_cores = int_field("little")?;
-    let deadline_us = match fields.get("deadline_us") {
-        None => None,
-        Some(Json::Int(n)) => Some(*n),
-        Some(_) => {
-            return fail(
-                Some(id),
-                WireError::bad_request("\"deadline_us\" must be an integer"),
-            )
+        self.seen |= bit;
+        Ok(())
+    }
+
+    /// The field checks, in the order the protocol fixes.
+    fn request(self, max_tasks: usize) -> Result<WireRequest, (Option<u64>, WireError)> {
+        if let Some(op) = self.op {
+            return match op {
+                Ok(s) if s == "status" => Ok(WireRequest::Status),
+                Ok(s) if s == "ping" => Ok(WireRequest::Ping),
+                other => {
+                    let op = other.map_or_else(|tree| tree, |s| Json::Str(s.into_owned()));
+                    Err((
+                        self.id,
+                        WireError::bad_request(format!("unknown op {}", op.render_compact())),
+                    ))
+                }
+            };
         }
-    };
-    let tenant = match fields.get("tenant") {
-        None => "public".to_string(),
-        Some(Json::Str(s)) => s.clone(),
-        Some(_) => {
-            return fail(
-                Some(id),
-                WireError::bad_request("\"tenant\" must be a string"),
-            )
-        }
-    };
-    let objective = match fields.get("objective") {
-        None => Objective::Period,
-        Some(Json::Str(s)) if s == "period" => Objective::Period,
-        Some(Json::Str(s)) if s == "min_energy" => match fields.get("target_period") {
-            Some(Json::Str(target)) => Objective::MinEnergy {
-                target_period: target.clone(),
+        let Some(id) = self.id else {
+            return Err((None, WireError::bad_request("missing integer \"id\"")));
+        };
+        let fail = |message: &str| Err((Some(id), WireError::bad_request(message)));
+        let Some(big_cores) = self.big else {
+            return fail("missing integer \"big\"");
+        };
+        let Some(little_cores) = self.little else {
+            return fail("missing integer \"little\"");
+        };
+        let deadline_us = match self.deadline_us {
+            None => None,
+            Some(Some(us)) => Some(us),
+            Some(None) => return fail("\"deadline_us\" must be an integer"),
+        };
+        let tenant = match self.tenant {
+            None => "public".to_string(),
+            Some(Some(s)) => s.into_owned(),
+            Some(None) => return fail("\"tenant\" must be a string"),
+        };
+        let objective = match self.objective {
+            None => Objective::Period,
+            Some(Some(s)) if s == "period" => Objective::Period,
+            Some(Some(s)) if s == "min_energy" => match self.target_period {
+                Some(target) => Objective::MinEnergy {
+                    target_period: target.into_owned(),
+                },
+                None => return fail("objective \"min_energy\" requires string \"target_period\""),
             },
-            _ => {
-                return fail(
-                    Some(id),
-                    WireError::bad_request(
-                        "objective \"min_energy\" requires string \"target_period\"",
-                    ),
-                )
-            }
-        },
-        Some(_) => {
-            return fail(
-                Some(id),
-                WireError::bad_request("\"objective\" must be \"period\" or \"min_energy\""),
-            )
-        }
-    };
-    let policy = match fields.get("policy") {
-        Some(Json::Str(s)) if s.eq_ignore_ascii_case("portfolio") => Policy::Portfolio,
-        Some(Json::Str(s)) => Policy::Strategy(s.clone()),
-        _ => {
-            return fail(
-                Some(id),
-                WireError::bad_request("missing string \"policy\""),
-            )
-        }
-    };
-    let Some(Json::Arr(raw_tasks)) = fields.get("tasks") else {
-        return fail(Some(id), WireError::bad_request("missing array \"tasks\""));
-    };
-    if raw_tasks.len() > max_tasks {
-        return fail(
-            Some(id),
-            WireError::bad_request(format!(
-                "chain has {} tasks; this server accepts at most {max_tasks}",
-                raw_tasks.len()
-            )),
-        );
-    }
-    let mut tasks = Vec::with_capacity(raw_tasks.len());
-    for t in raw_tasks {
-        let Json::Arr(triple) = t else {
-            return fail(
-                Some(id),
-                WireError::bad_request("each task must be a [big, little, replicable] triple"),
-            );
+            Some(_) => return fail("\"objective\" must be \"period\" or \"min_energy\""),
         };
-        match triple.as_slice() {
-            [Json::Int(wb), Json::Int(wl), Json::Int(r)] if *r <= 1 => tasks.push(TaskSpec {
-                weight_big: *wb,
-                weight_little: *wl,
-                replicable: *r == 1,
-            }),
-            _ => {
-                return fail(
-                    Some(id),
-                    WireError::bad_request(
-                        "each task must be [weight_big, weight_little, replicable(0|1)]",
-                    ),
-                )
+        let policy = match self.policy {
+            Some(s) if s.eq_ignore_ascii_case("portfolio") => Policy::Portfolio,
+            Some(s) => Policy::Strategy(s.into_owned()),
+            None => return fail("missing string \"policy\""),
+        };
+        let Some(tasks) = self.tasks else {
+            return fail("missing array \"tasks\"");
+        };
+        if tasks.count > max_tasks {
+            return fail(&format!(
+                "chain has {} tasks; this server accepts at most {max_tasks}",
+                tasks.count
+            ));
+        }
+        if let Some(message) = tasks.malformed {
+            return fail(message);
+        }
+        Ok(WireRequest::Schedule {
+            request: ScheduleRequest {
+                id,
+                tasks: tasks.specs,
+                big_cores,
+                little_cores,
+                policy,
+                objective,
+                deadline_us,
+            },
+            tenant,
+        })
+    }
+}
+
+/// The next value if it is an integer; anything else is syntax-checked
+/// whole and read as `None`.
+fn int(lx: &mut Lexer<'_>) -> Result<Option<u64>, JsonError> {
+    match lx.token()? {
+        Token::Int(n) => Ok(Some(n)),
+        other => lx.tree(other).map(|_| None),
+    }
+}
+
+/// The next value if it is a string; anything else is syntax-checked
+/// whole and read as `None`.
+fn string<'a>(lx: &mut Lexer<'a>) -> Result<Option<Cow<'a, str>>, JsonError> {
+    match lx.token()? {
+        Token::Str(s) => Ok(Some(s)),
+        other => lx.tree(other).map(|_| None),
+    }
+}
+
+/// Decodes the elements of a `tasks` array whose `[` was just read.
+fn tasks(lx: &mut Lexer<'_>, max_tasks: usize) -> Result<Tasks, JsonError> {
+    let mut tasks = Tasks {
+        specs: Vec::new(),
+        count: 0,
+        malformed: None,
+    };
+    lx.elements(|lx| {
+        let item = task(lx)?;
+        tasks.count += 1;
+        if tasks.count <= max_tasks && tasks.malformed.is_none() {
+            match item {
+                Ok(spec) => tasks.specs.push(spec),
+                Err(message) => tasks.malformed = Some(message),
             }
         }
+        Ok(())
+    })?;
+    Ok(tasks)
+}
+
+/// One task item: a `[weight_big, weight_little, replicable(0|1)]`
+/// triple, or the message that rejects it.
+fn task(lx: &mut Lexer<'_>) -> Result<Result<TaskSpec, &'static str>, JsonError> {
+    let head = lx.token()?;
+    if head != Token::ArrStart {
+        lx.tree(head)?;
+        return Ok(Err(NOT_A_TRIPLE));
     }
-    Ok(WireRequest::Schedule {
-        request: ScheduleRequest {
-            id,
-            tasks,
-            big_cores,
-            little_cores,
-            policy,
-            objective,
-            deadline_us,
-        },
-        tenant,
+    let mut ints = [0u64; 3];
+    let mut len = 0;
+    let mut all_ints = true;
+    lx.elements(|lx| {
+        match lx.token()? {
+            Token::Int(n) if len < 3 => ints[len] = n,
+            other => {
+                lx.tree(other)?;
+                all_ints = false;
+            }
+        }
+        len += 1;
+        Ok(())
+    })?;
+    Ok(match ints {
+        [weight_big, weight_little, r] if all_ints && len == 3 && r <= 1 => Ok(TaskSpec {
+            weight_big,
+            weight_little,
+            replicable: r == 1,
+        }),
+        _ => Err(BAD_TRIPLE),
     })
 }
 
@@ -590,6 +749,9 @@ mod tests {
     use super::*;
     use amp_core::sched::Scheduler;
     use amp_core::{Resources, Task, TaskChain};
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
 
     fn request() -> ScheduleRequest {
         let chain = TaskChain::new(vec![
@@ -603,6 +765,419 @@ mod tests {
             Resources::new(2, 2),
             Policy::Strategy("HeRAD".to_string()),
         )
+    }
+
+    /// The tree-walking decoder that `parse_request` replaced: parse the
+    /// whole frame with `Json::parse`, then look the fields up in the
+    /// tree. It is the oracle the one-pass decoder must match exactly.
+    fn reference(line: &str, max_tasks: usize) -> Result<WireRequest, (Option<u64>, WireError)> {
+        let value = Json::parse(line).map_err(|e| (None, WireError::parse(e.to_string())))?;
+        let Json::Obj(fields) = value else {
+            return Err((None, WireError::parse("frame must be a JSON object")));
+        };
+        // Recover the id first so even malformed schedule frames reject
+        // with a correlatable error.
+        let id = match fields.get("id") {
+            Some(Json::Int(n)) => Some(*n),
+            _ => None,
+        };
+        let fail = |id: Option<u64>, e: WireError| Err((id, e));
+        if let Some(op) = fields.get("op") {
+            return match op {
+                Json::Str(s) if s == "status" => Ok(WireRequest::Status),
+                Json::Str(s) if s == "ping" => Ok(WireRequest::Ping),
+                other => fail(
+                    id,
+                    WireError::bad_request(format!("unknown op {}", other.render_compact())),
+                ),
+            };
+        }
+        let Some(id) = id else {
+            return fail(None, WireError::bad_request("missing integer \"id\""));
+        };
+        let int_field = |name: &str| -> Result<u64, (Option<u64>, WireError)> {
+            match fields.get(name) {
+                Some(Json::Int(n)) => Ok(*n),
+                _ => Err((
+                    Some(id),
+                    WireError::bad_request(format!("missing integer {name:?}")),
+                )),
+            }
+        };
+        let big_cores = int_field("big")?;
+        let little_cores = int_field("little")?;
+        let deadline_us = match fields.get("deadline_us") {
+            None => None,
+            Some(Json::Int(n)) => Some(*n),
+            Some(_) => {
+                return fail(
+                    Some(id),
+                    WireError::bad_request("\"deadline_us\" must be an integer"),
+                )
+            }
+        };
+        let tenant = match fields.get("tenant") {
+            None => "public".to_string(),
+            Some(Json::Str(s)) => s.clone(),
+            Some(_) => {
+                return fail(
+                    Some(id),
+                    WireError::bad_request("\"tenant\" must be a string"),
+                )
+            }
+        };
+        let objective = match fields.get("objective") {
+            None => Objective::Period,
+            Some(Json::Str(s)) if s == "period" => Objective::Period,
+            Some(Json::Str(s)) if s == "min_energy" => match fields.get("target_period") {
+                Some(Json::Str(target)) => Objective::MinEnergy {
+                    target_period: target.clone(),
+                },
+                _ => {
+                    return fail(
+                        Some(id),
+                        WireError::bad_request(
+                            "objective \"min_energy\" requires string \"target_period\"",
+                        ),
+                    )
+                }
+            },
+            Some(_) => {
+                return fail(
+                    Some(id),
+                    WireError::bad_request("\"objective\" must be \"period\" or \"min_energy\""),
+                )
+            }
+        };
+        let policy = match fields.get("policy") {
+            Some(Json::Str(s)) if s.eq_ignore_ascii_case("portfolio") => Policy::Portfolio,
+            Some(Json::Str(s)) => Policy::Strategy(s.clone()),
+            _ => {
+                return fail(
+                    Some(id),
+                    WireError::bad_request("missing string \"policy\""),
+                )
+            }
+        };
+        let Some(Json::Arr(raw_tasks)) = fields.get("tasks") else {
+            return fail(Some(id), WireError::bad_request("missing array \"tasks\""));
+        };
+        if raw_tasks.len() > max_tasks {
+            return fail(
+                Some(id),
+                WireError::bad_request(format!(
+                    "chain has {} tasks; this server accepts at most {max_tasks}",
+                    raw_tasks.len()
+                )),
+            );
+        }
+        let mut tasks = Vec::with_capacity(raw_tasks.len());
+        for t in raw_tasks {
+            let Json::Arr(triple) = t else {
+                return fail(
+                    Some(id),
+                    WireError::bad_request("each task must be a [big, little, replicable] triple"),
+                );
+            };
+            match triple.as_slice() {
+                [Json::Int(wb), Json::Int(wl), Json::Int(r)] if *r <= 1 => tasks.push(TaskSpec {
+                    weight_big: *wb,
+                    weight_little: *wl,
+                    replicable: *r == 1,
+                }),
+                _ => {
+                    return fail(
+                        Some(id),
+                        WireError::bad_request(
+                            "each task must be [weight_big, weight_little, replicable(0|1)]",
+                        ),
+                    )
+                }
+            }
+        }
+        Ok(WireRequest::Schedule {
+            request: ScheduleRequest {
+                id,
+                tasks,
+                big_cores,
+                little_cores,
+                policy,
+                objective,
+                deadline_us,
+            },
+            tenant,
+        })
+    }
+
+    /// A seeded request in every shape clients send: period and
+    /// `min_energy` objectives, deadlines, tenants needing escapes or
+    /// multi-byte UTF-8, portfolio and single strategies.
+    fn seeded_frame(seed: u64) -> String {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let tasks = (0..rng.gen_range(1..=8))
+            .map(|_| TaskSpec {
+                weight_big: rng.gen_range(1..2000),
+                weight_little: rng.gen_range(1..5000),
+                replicable: rng.gen_bool(0.5),
+            })
+            .collect();
+        let policy = match rng.gen_range(0..4) {
+            0 => Policy::Portfolio,
+            1 => Policy::Strategy("HeRAD".to_string()),
+            2 => Policy::Strategy("FERTAC".to_string()),
+            _ => Policy::Strategy("2CATAC".to_string()),
+        };
+        let objective = if rng.gen_bool(0.3) {
+            Objective::MinEnergy {
+                target_period: format!("{}/{}", rng.gen_range(1..900), rng.gen_range(1..9)),
+            }
+        } else {
+            Objective::Period
+        };
+        let request = ScheduleRequest {
+            id: rng.gen_range(0..u64::MAX),
+            tasks,
+            big_cores: rng.gen_range(0..16),
+            little_cores: rng.gen_range(0..16),
+            policy,
+            objective,
+            deadline_us: rng.gen_bool(0.5).then(|| rng.gen_range(0..100_000)),
+        };
+        let tenant = [
+            "public",
+            "acme",
+            "t\u{e9}n\"ant\\\u{20ac}",
+            "\u{1d11e}\n\t\u{1}x",
+        ]
+        .choose(&mut rng)
+        .expect("non-empty");
+        render_request(&request, tenant)
+    }
+
+    /// Values to splice into members: every JSON kind, the strings the
+    /// field checks look for, the number forms the codec rejects, escapes,
+    /// and nested values hiding a duplicate key.
+    const VALUES: &[&str] = &[
+        "null",
+        "true",
+        "0",
+        "7",
+        "\"x\"",
+        "[]",
+        "{}",
+        "[[1,2,0]]",
+        "\"status\"",
+        "\"ping\"",
+        "\"min_energy\"",
+        "\"period\"",
+        "\"PortFolio\"",
+        "\"5/2\"",
+        "\"\\u0048eRAD\"",
+        "{\"a\":1,\"a\":2}",
+        "[{\"b\":{\"c\":1,\"c\":2}}]",
+        "007",
+        "1.5",
+        "-3",
+        "1e9",
+        "\"\\u0041\\u00e9\"",
+        "\"\\ud800\"",
+    ];
+
+    /// Syntactically valid values, mostly of a type no field wants:
+    /// retyping several members at once with these makes frames fail
+    /// more than one field check, which pins the order of the checks.
+    const WELL_FORMED: &[&str] = &["null", "true", "\"x\"", "7", "[]", "{}", "[[1,2,0]]"];
+
+    /// Keys to splice in: the protocol's, unknown ones, and escaped
+    /// spellings of known ones.
+    const KEYS: &[&str] = &[
+        "\"op\"",
+        "\"id\"",
+        "\"big\"",
+        "\"little\"",
+        "\"deadline_us\"",
+        "\"tenant\"",
+        "\"objective\"",
+        "\"target_period\"",
+        "\"policy\"",
+        "\"tasks\"",
+        "\"extra\"",
+        "\"\\u0069d\"",
+        "\"t\\u0061sks\"",
+    ];
+
+    /// Task items that are not well-formed triples, and one that is.
+    const TASKS: &[&str] = &[
+        "[1,2]",
+        "[1,2,0,4]",
+        "[1,2,2]",
+        "{\"a\":1}",
+        "3",
+        "[1,\"2\",0]",
+        "[1,2,true]",
+        "[01,2,0]",
+        "[1,2,-1]",
+        "[1.5,2,0]",
+        "[[1],2,0]",
+        "[5,6,1]",
+    ];
+
+    /// A frame's members as `(key, value)` source text.
+    fn members(frame: &str) -> Vec<(String, String)> {
+        let Ok(Json::Obj(fields)) = Json::parse(frame) else {
+            panic!("seeded frames are objects")
+        };
+        fields
+            .into_iter()
+            .map(|(k, v)| (Json::Str(k).render_compact(), v.render_compact()))
+            .collect()
+    }
+
+    fn assemble(members: &[(String, String)]) -> String {
+        let body: Vec<String> = members.iter().map(|(k, v)| format!("{k}:{v}")).collect();
+        format!("{{{}}}", body.join(","))
+    }
+
+    fn pick<'a>(rng: &mut StdRng, from: &[&'a str]) -> &'a str {
+        from.choose(rng).expect("non-empty")
+    }
+
+    /// One seeded mutation of a frame, from member-level edits (reorder,
+    /// splice, repeat, drop, malformed or surplus tasks) to text-level
+    /// ones (whitespace, non-object roots).
+    fn mutate(frame: &str, rng: &mut StdRng) -> String {
+        let mut m = members(frame);
+        for _ in 0..rng.gen_range(1..=3) {
+            let at = rng.gen_range(0..m.len());
+            match rng.gen_range(0..9) {
+                0 => m.shuffle(rng),
+                1 => m[at].1 = pick(rng, VALUES).to_string(),
+                2 => {
+                    let member = (pick(rng, KEYS).to_string(), pick(rng, VALUES).to_string());
+                    m.insert(at, member);
+                }
+                3 => {
+                    let again = m[at].clone();
+                    m.push(again);
+                }
+                4 => {
+                    m.remove(at);
+                    if m.is_empty() {
+                        break;
+                    }
+                }
+                5 => {
+                    for member in &mut m {
+                        if rng.gen_bool(0.5) {
+                            member.1 = pick(rng, WELL_FORMED).to_string();
+                        }
+                    }
+                }
+                6 => {
+                    let key = pick(rng, &["\"extra\"", "\"n\\u00f6te\""]).to_string();
+                    m.insert(at, (key.clone(), pick(rng, VALUES).to_string()));
+                    m.push((key, pick(rng, VALUES).to_string()));
+                }
+                _ => {
+                    let Some(tasks) = m.iter_mut().find(|(k, _)| k == "\"tasks\"") else {
+                        continue;
+                    };
+                    let Ok(Json::Arr(items)) = Json::parse(&tasks.1) else {
+                        continue;
+                    };
+                    let mut items: Vec<String> = items.iter().map(Json::render_compact).collect();
+                    if rng.gen_bool(0.5) {
+                        for _ in 0..rng.gen_range(1..=3) {
+                            let i = rng.gen_range(0..=items.len());
+                            items.insert(i, pick(rng, TASKS).to_string());
+                        }
+                    } else {
+                        for _ in 0..rng.gen_range(1..12) {
+                            items.push("[3,4,1]".to_string());
+                        }
+                    }
+                    tasks.1 = format!("[{}]", items.join(","));
+                }
+            }
+        }
+        let mut text = assemble(&m);
+        for _ in 0..rng.gen_range(0..4) {
+            let mut at = rng.gen_range(0..=text.len());
+            while !text.is_char_boundary(at) {
+                at -= 1;
+            }
+            text.insert_str(at, pick(rng, &[" ", "\n", "\t", "\r", "  "]));
+        }
+        match rng.gen_range(0..12) {
+            0 => format!("[{text}]"),
+            1 => pick(rng, &["42", "\"frame\"", "null", "[]", "true"]).to_string(),
+            _ => text,
+        }
+    }
+
+    /// Checks one frame; returns the outcome as `ok` or `CODE message`.
+    fn assert_same(line: &str, max_tasks: usize) -> String {
+        let got = parse_request(line, max_tasks);
+        assert_eq!(
+            got,
+            reference(line, max_tasks),
+            "{line:?} with max_tasks {max_tasks}"
+        );
+        got.map_or_else(
+            |(_, e)| format!("{} {}", e.code, e.message),
+            |_| "ok".into(),
+        )
+    }
+
+    /// The one-pass decoder answers every frame exactly as the tree walk
+    /// did — the same request, or the same `(id, code, message)` — on
+    /// seeded client frames, on mutations of them, and on every strict
+    /// prefix of them.
+    #[test]
+    fn decoder_matches_the_tree_walk() {
+        let mut seen = BTreeSet::new();
+        for seed in 0..300 {
+            let frame = seeded_frame(seed);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+            assert_eq!(assert_same(&frame, 64), "ok", "{frame}");
+            for cut in (0..frame.len()).filter(|&c| frame.is_char_boundary(c)) {
+                seen.insert(assert_same(&frame[..cut], 64));
+            }
+            for _ in 0..40 {
+                let line = mutate(&frame, &mut rng);
+                seen.insert(assert_same(&line, rng.gen_range(0..12)));
+            }
+        }
+        // The seeds reach every field check and the syntax errors that
+        // must outrank them.
+        for outcome in [
+            "ok",
+            "BAD_REQUEST unknown op",
+            "BAD_REQUEST missing integer \"id\"",
+            "BAD_REQUEST missing integer \"big\"",
+            "BAD_REQUEST missing integer \"little\"",
+            "BAD_REQUEST \"deadline_us\" must be an integer",
+            "BAD_REQUEST \"tenant\" must be a string",
+            "BAD_REQUEST objective \"min_energy\" requires string \"target_period\"",
+            "BAD_REQUEST \"objective\" must be",
+            "BAD_REQUEST missing string \"policy\"",
+            "BAD_REQUEST missing array \"tasks\"",
+            "BAD_REQUEST chain has",
+            NOT_A_TRIPLE,
+            BAD_TRIPLE,
+            "PARSE_ERROR frame must be a JSON object",
+            "duplicate key",
+            "leading zeros",
+            "floats are not",
+            "negative numbers",
+            "escape",
+            "unexpected end of input",
+        ] {
+            assert!(
+                seen.iter().any(|s: &String| s.contains(outcome)),
+                "no seed reached {outcome:?}"
+            );
+        }
     }
 
     #[test]

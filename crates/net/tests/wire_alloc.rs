@@ -7,6 +7,9 @@
 //! heap at all — the same discipline PR 3 pinned for the scheduler's
 //! solve path, now extended to the wire in front of it.
 //!
+//! The request side has a budget rather than a zero: decoding a frame
+//! must allocate only what the decoded request owns.
+//!
 //! The counting allocator tracks per-thread allocation counts, so
 //! `cargo test`'s parallel test threads cannot pollute the delta.
 
@@ -15,9 +18,9 @@ use std::io::{self, IoSlice, Write};
 use amp_bench::alloc_track::{count_thread_allocs, TrackingAllocator};
 use amp_core::sched::Scheduler;
 use amp_core::{Resources, Task, TaskChain};
-use amp_net::proto::{render_error_line, render_response_line};
+use amp_net::proto::{parse_request, render_error_line, render_request, render_response_line};
 use amp_net::{write_frames, BufPool, CORK_MAX};
-use amp_service::{Policy, ScheduleOutcome, ScheduleRequest, ScheduleResponse};
+use amp_service::{Policy, ScheduleOutcome, ScheduleRequest, ScheduleResponse, TaskSpec};
 
 #[global_allocator]
 static ALLOC: TrackingAllocator = TrackingAllocator;
@@ -129,4 +132,35 @@ fn steady_state_error_framing_allocates_nothing() {
         }
     });
     assert_eq!(allocs, 0, "warm error framing must not allocate");
+}
+
+/// Decoding a canonical 64-task schedule frame allocates only what the
+/// request owns: the task vector as it grows (4, 8, 16, 32, 64 slots),
+/// the policy name and the tenant. Keys, integers and every string
+/// without escapes are read in place.
+#[test]
+fn request_decode_allocates_only_what_the_request_owns() {
+    let tasks = (0..64)
+        .map(|i| TaskSpec {
+            weight_big: 10 + i,
+            weight_little: 25 + 3 * i,
+            replicable: i % 3 == 0,
+        })
+        .collect();
+    let request = ScheduleRequest {
+        id: 7,
+        tasks,
+        big_cores: 4,
+        little_cores: 4,
+        policy: Policy::Strategy("HeRAD".to_string()),
+        objective: amp_service::Objective::Period,
+        deadline_us: Some(5000),
+    };
+    let frame = render_request(&request, "acme");
+    let (decoded, allocs) = count_thread_allocs(|| parse_request(&frame, 64));
+    assert!(decoded.is_ok(), "{decoded:?}");
+    assert!(
+        allocs <= 8,
+        "decoding a 64-task frame made {allocs} heap allocations (budget 8)"
+    );
 }

@@ -34,9 +34,9 @@ fn host_cpus() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-#[test]
-fn measured_fps_tracks_analytic_period() {
-    let _guard = serial();
+/// Runs the HeRAD schedule of a 3-task chain on a 2B+2L machine for 400
+/// frames. Returns the chain, its schedule and the run's report.
+fn run_analytic_schedule() -> (TaskChain, amp_core::Solution, amp_runtime::RunReport) {
     // Weights in microseconds; bottleneck is the 800 µs replicable task.
     let chain = TaskChain::new(vec![
         Task::new(100, 250, false),
@@ -45,13 +45,29 @@ fn measured_fps_tracks_analytic_period() {
     ]);
     let res = Resources::new(2, 2);
     let solution = Herad::new().schedule(&chain, res).unwrap();
-    let expected_period_us = solution.period(&chain).to_f64();
-
     let machine = VirtualMachine::new(res);
     let report = spec_for(&chain)
         .run(&chain, &solution, &machine, &RunConfig::with_frames(400))
         .unwrap();
+    (chain, solution, report)
+}
+
+#[test]
+fn analytic_schedule_delivers_every_frame() {
+    let _guard = serial();
+    let (_, _, report) = run_analytic_schedule();
     assert_eq!(report.frames, 400);
+}
+
+/// The wall-clock half of the run above: measured fps against the
+/// model. Host load moves it, so the release gate in `scripts/ci.sh`
+/// runs it rather than tier-1.
+#[test]
+#[ignore = "wall-clock assertion; scripts/ci.sh runs it in release mode"]
+fn measured_fps_tracks_analytic_period() {
+    let _guard = serial();
+    let (chain, solution, report) = run_analytic_schedule();
+    let expected_period_us = solution.period(&chain).to_f64();
 
     // With fewer physical cores than workers, throughput is bounded by the
     // serialized work per frame instead of the pipeline period.

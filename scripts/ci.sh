@@ -8,6 +8,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
 cargo test -q
 
+# Benchmark self-tests: perfbench builds against the library crates by
+# path, so a library change that breaks its build or its reply checks
+# (a corrupted reply and a dropped frame must count as failed) fails here
+# rather than in a benchmark run.
+cargo test --manifest-path perfbench/Cargo.toml
+
 # Conformance gate: replay the regression corpus, then fuzz a bounded
 # batch of seeded instances (small n so the exhaustive oracle stays fast)
 # against the oracle, the metamorphic properties, the service engine and
@@ -95,3 +101,8 @@ cargo run --release -p amp-conformance -- --reconfig-only --seeds 1000 --max-tas
 # sink-departure gap is not strictly below the median restart gap. The
 # report lands in BENCH_reconfig.json.
 cargo run --release -p amp-experiments --bin reconfig_sweep -- --smoke --out BENCH_reconfig.json
+
+# Wall-clock gate, release mode: measured runtime fps against the
+# analytic period of the schedule (tier-1 keeps only the frame count of
+# the same run; host load moves the fps, so it is asserted here).
+cargo test --release -q -p amp-runtime --test throughput -- --ignored
