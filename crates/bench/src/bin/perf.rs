@@ -27,10 +27,11 @@
 //! [`TrackingAllocator`] installed as the global allocator (batched
 //! allocations are counted over a quiesced round, after the warm-up).
 //! A `ratio_cmp` micro-benchmark times `Ratio::cmp` on integer,
-//! equal-denominator and cross-denominator operand mixes — the DP inner
-//! loop compares stage weights that are overwhelmingly integers or
-//! same-core-count rationals, which is exactly the equal-denominator
-//! fast path.
+//! equal-denominator and cross-denominator operand mixes — the periods
+//! the binary search and `Solution::period` compare are overwhelmingly
+//! integers or same-core-count rationals, which is exactly the
+//! equal-denominator fast path. (HeRAD's DP and the greedy stage checks
+//! compare raw integer pairs instead.)
 //!
 //! The run writes `BENCH_sched.json` and **exits non-zero** if any of
 //! the HeRAD gates fail:
@@ -378,9 +379,8 @@ struct RatioCmpReport {
 }
 
 /// Times `Ratio::cmp` per operand mix. Integer and equal-denominator
-/// pairs take the new numerator-only shortcut; cross-denominator pairs
-/// pay the two u128 multiplies. The DP inner loop is dominated by the
-/// first two shapes (integer weights, same-core-count candidates).
+/// pairs take the numerator-only shortcut; cross-denominator pairs pay
+/// the two u128 multiplies.
 fn bench_ratio_cmp() -> RatioCmpReport {
     const PAIRS: usize = 256;
     const ITERS: usize = 4000;

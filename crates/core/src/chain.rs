@@ -174,6 +174,28 @@ impl TaskChain {
         }
     }
 
+    /// `stage_weight(start, end, r, v) <= target`, decided from the prefix
+    /// sums by one cross-multiplication, with no gcd and no weight built:
+    /// the greedy strategies ask it on every probe of their binary search.
+    /// For a target `p/q`, `sum/cores ≤ p/q ⟺ sum·q ≤ p·cores`, and
+    /// infinity (`1/0`) admits every weight with no branch of its own.
+    #[inline]
+    pub(crate) fn stage_weight_le(
+        &self,
+        start: usize,
+        end: usize,
+        r: u64,
+        v: CoreType,
+        target: Ratio,
+    ) -> bool {
+        if r == 0 {
+            return target.is_infinite();
+        }
+        let cores = if self.is_replicable(start, end) { r } else { 1 };
+        u128::from(self.interval_sum(start, end, v)) * target.denom()
+            <= target.numer() * u128::from(cores)
+    }
+
     /// Largest weight of any single task on core type `v`.
     #[must_use]
     pub fn max_task_weight(&self, v: CoreType) -> u64 {

@@ -22,7 +22,8 @@
 //! Deliberate limits (documents violating them are rejected loudly rather
 //! than mis-read): numbers are unsigned 64-bit integers — no floats, no
 //! signs (exact rationals travel as `"num/den"` strings instead, so wire
-//! values never lose precision) — and duplicate object keys are an error.
+//! values never lose precision) — duplicate object keys are an error, and
+//! containers nest at most [`MAX_DEPTH`] levels deep.
 //! Both renderers are fixpoints under `parse`: `parse(render(v)) == v` and
 //! re-rendering parsed canonical output reproduces it byte-for-byte.
 
@@ -247,6 +248,13 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// The deepest container nesting a document may have. [`Lexer::tree`]
+/// recurses once per level, so without a cap one frame of ten thousand
+/// `[` overflows the reading thread's stack and aborts the process; past
+/// this depth the opening bracket is a [`JsonError`] instead. The
+/// documents the repository writes nest a few levels deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// One value's head as [`Lexer::token`] reads it: a whole scalar, or the
 /// opening bracket of a container whose contents the caller pulls next.
 #[derive(Debug, PartialEq, Eq)]
@@ -271,18 +279,26 @@ pub enum Token<'a> {
 ///
 /// Each byte is visited once. Leading whitespace is skipped before every
 /// token and separator, never after a value, so an error's offset is the
-/// same whichever consumer drives the lexer.
+/// same whichever consumer drives the lexer. The lexer counts open
+/// containers itself, so the [`MAX_DEPTH`] cap holds whichever consumer
+/// drives it.
 #[derive(Debug)]
 pub struct Lexer<'a> {
     text: &'a str,
     pos: usize,
+    /// Containers opened and not yet closed.
+    depth: usize,
 }
 
 impl<'a> Lexer<'a> {
     /// A lexer positioned at the start of `text`.
     #[must_use]
     pub fn new(text: &'a str) -> Self {
-        Lexer { text, pos: 0 }
+        Lexer {
+            text,
+            pos: 0,
+            depth: 0,
+        }
     }
 
     /// The error a repeated object key raises, at the current offset
@@ -295,20 +311,14 @@ impl<'a> Lexer<'a> {
     /// Reads the next value's head.
     ///
     /// # Errors
-    /// Any syntax violation or unsupported construct in the scalar or at
-    /// the bracket.
+    /// Any syntax violation or unsupported construct in the scalar, or a
+    /// bracket that would nest deeper than [`MAX_DEPTH`].
     #[inline]
     pub fn token(&mut self) -> Result<Token<'a>, JsonError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => {
-                self.pos += 1;
-                Ok(Token::ObjStart)
-            }
-            Some(b'[') => {
-                self.pos += 1;
-                Ok(Token::ArrStart)
-            }
+            Some(b'{') => self.open(Token::ObjStart),
+            Some(b'[') => self.open(Token::ArrStart),
             Some(b'"') => self.string().map(Token::Str),
             Some(b't') => self.literal("true", Token::Bool(true)),
             Some(b'f') => self.literal("false", Token::Bool(false)),
@@ -332,7 +342,7 @@ impl<'a> Lexer<'a> {
     ) -> Result<(), JsonError> {
         self.skip_ws();
         if self.peek() == Some(b']') {
-            self.pos += 1;
+            self.close();
             return Ok(());
         }
         loop {
@@ -341,7 +351,7 @@ impl<'a> Lexer<'a> {
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
-                    self.pos += 1;
+                    self.close();
                     return Ok(());
                 }
                 _ => return Err(self.error("expected ',' or ']' in array")),
@@ -362,7 +372,7 @@ impl<'a> Lexer<'a> {
     ) -> Result<(), JsonError> {
         self.skip_ws();
         if self.peek() == Some(b'}') {
-            self.pos += 1;
+            self.close();
             return Ok(());
         }
         loop {
@@ -375,7 +385,7 @@ impl<'a> Lexer<'a> {
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
-                    self.pos += 1;
+                    self.close();
                     return Ok(());
                 }
                 _ => return Err(self.error("expected ',' or '}' in object")),
@@ -440,6 +450,25 @@ impl<'a> Lexer<'a> {
         } else {
             Err(self.error("trailing characters after the document"))
         }
+    }
+
+    /// Steps over an opening bracket, refusing one past [`MAX_DEPTH`]
+    /// (the error sits at the bracket).
+    #[inline]
+    fn open(&mut self, token: Token<'a>) -> Result<Token<'a>, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        self.pos += 1;
+        Ok(token)
+    }
+
+    /// Steps over the closing bracket of the innermost open container.
+    #[inline]
+    fn close(&mut self) {
+        self.depth -= 1;
+        self.pos += 1;
     }
 
     /// An error at the current offset.
@@ -705,6 +734,34 @@ mod tests {
         }
         // `u32::from_str_radix` admits a leading `+`, and so does the codec.
         assert_eq!(Json::parse("\"\\u+041\""), Ok(Json::Str("A".to_string())));
+    }
+
+    /// Nesting up to [`MAX_DEPTH`] parses; one level more is an error at
+    /// the offending bracket, however deep the document goes on — a
+    /// 20 KB frame nested 10 000 deep no longer reaches the stack limit.
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let objects = |depth: usize| format!("{}1{}", "{\"a\":".repeat(depth), "}".repeat(depth));
+        assert!(Json::parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&objects(MAX_DEPTH)).is_ok());
+        for depth in [MAX_DEPTH + 1, 10_000] {
+            let err = Json::parse(&arrays(depth)).unwrap_err();
+            assert_eq!(
+                (err.offset, err.message.as_str()),
+                (MAX_DEPTH, "nesting deeper than 128 levels"),
+                "depth {depth}"
+            );
+            let err = Json::parse(&objects(depth)).unwrap_err();
+            assert_eq!(err.offset, "{\"a\":".len() * MAX_DEPTH, "depth {depth}");
+        }
+        // Objects and arrays share the count; the offset is the bracket.
+        let doc = format!("{{\"x\":{}}}", arrays(10_000));
+        let err = Json::parse(&doc).unwrap_err();
+        assert_eq!(err.offset, "{\"x\":".len() + MAX_DEPTH - 1);
+        // Closed containers give their level back: siblings never add up.
+        let wide = format!("[{}]", vec![arrays(MAX_DEPTH - 1); 3].join(","));
+        assert!(Json::parse(&wide).is_ok());
     }
 
     #[test]

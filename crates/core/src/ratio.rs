@@ -58,8 +58,9 @@ impl Ratio {
     /// cross-multiply (with an exact equal-denominator shortcut that
     /// compares numerators directly), so unnormalized values behave
     /// identically; only [`Ratio::numer`]/[`Ratio::denom`] and the
-    /// `Display` output differ. Used on hot paths (HeRAD's inner loops)
-    /// where the gcd is measurable.
+    /// `Display` output differ. Used where a raw form must survive as is:
+    /// HeRAD hands its raw `u64` DP periods out through it, so
+    /// `optimal_period` keeps the `sum/cores` form the recurrence found.
     #[must_use]
     pub fn new_raw(num: u128, den: u128) -> Self {
         if den == 0 {
@@ -197,10 +198,10 @@ impl Ord for Ratio {
             (true, true) => Ordering::Equal,
             (true, false) => Ordering::Greater,
             (false, true) => Ordering::Less,
-            // Equal denominators (common in the DP inner loops: integer
-            // weights share den == 1, and candidates for the same core
-            // count share a denominator) order by numerator alone — the
-            // cross-multiplication scales both sides by the same positive
+            // Equal denominators (common among periods: integer weights
+            // share den == 1, and weights over the same core count share
+            // a denominator) order by numerator alone — the cross-
+            // multiplication scales both sides by the same positive
             // factor, so skipping it is exact, not approximate.
             (false, false) if self.den == other.den => self.num.cmp(&other.num),
             (false, false) => (self.num * other.den).cmp(&(other.num * self.den)),

@@ -37,6 +37,21 @@
 //! extend a solved table with only the new rows/columns, and extraction at
 //! any covered pool walks only cells with indices `≤ (b, ℓ)` — so a grown
 //! table answers every smaller pool bit-identically to a fresh solve.
+//!
+//! ## Exact periods in two machine words
+//!
+//! Every period the recurrence produces is a stage weight — an interval
+//! sum of task weights (a `u64` prefix-sum difference) over a core count —
+//! or the maximum of two such weights, which is one of them. A cell
+//! therefore stores `S_Pbest` as a raw, never-normalized `u64 / u64`
+//! [`Period`], with the two sentinels `1/0` (infinity) and `0/1` (zero),
+//! and orders periods by plain cross-multiplication: `a/b < c/d` exactly
+//! when `a·d < c·b`, each side one `u128` product of `u64` operands, so it
+//! cannot overflow, and the sentinels need no branch of their own. The
+//! cell is 40 bytes (a `u128` [`Ratio`] made it 64). Periods leave the
+//! table only at its boundary: [`Table::period_at`] hands them out through
+//! [`Ratio::new_raw`], so callers see the `sum/cores` form the recurrence
+//! found, and the snapshot codec writes and reads the same raw `num/den`.
 
 use crate::chain::TaskChain;
 use crate::ratio::Ratio;
@@ -271,12 +286,66 @@ impl Scheduler for Herad {
     }
 }
 
-/// One cell of the solution matrix `S[j][b][l]` (Algorithm 7, lines 1–7).
-/// `pub(crate)` so [`SchedScratch`] can park the table between runs.
+/// A DP period `num / den`: an interval sum over a core count, kept raw
+/// (never gcd-normalized), or one of the sentinels [`Period::INFINITY`]
+/// (`1/0`) and [`Period::ZERO`] (`0/1`). Equality and order are by value,
+/// through one cross-multiplication (see the module docs), so
+/// [`Ord::max`] keeps its second argument on ties exactly as it does for
+/// [`Ratio`].
+#[derive(Clone, Copy, Debug)]
+struct Period {
+    num: u64,
+    den: u64,
+}
+
+impl Period {
+    const INFINITY: Period = Period { num: 1, den: 0 };
+    const ZERO: Period = Period { num: 0, den: 1 };
+
+    fn is_finite(self) -> bool {
+        self.den != 0
+    }
+
+    fn is_infinite(self) -> bool {
+        self.den == 0
+    }
+
+    /// The same raw `num/den` as an exact [`Ratio`].
+    fn to_ratio(self) -> Ratio {
+        Ratio::new_raw(u128::from(self.num), u128::from(self.den))
+    }
+}
+
+impl PartialEq for Period {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == std::cmp::Ordering::Equal
+    }
+}
+
+impl Eq for Period {}
+
+impl PartialOrd for Period {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Period {
+    #[inline]
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (u128::from(self.num) * u128::from(other.den))
+            .cmp(&(u128::from(other.num) * u128::from(self.den)))
+    }
+}
+
+/// One cell of the solution matrix `S[j][b][l]` (Algorithm 7, lines 1–7):
+/// 16 bytes of period, four `u32` core counters, the start index and the
+/// core type — 40 bytes with padding. `pub(crate)` so [`SchedScratch`] can
+/// park the table between runs.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Cell {
     /// `S_Pbest`: minimal maximum period.
-    pbest: Ratio,
+    pbest: Period,
     /// `S_prev`: big and little cores available to the previous stages.
     prev_b: u32,
     prev_l: u32,
@@ -289,8 +358,10 @@ pub(crate) struct Cell {
     start: u32,
 }
 
+const _: () = assert!(std::mem::size_of::<Cell>() == 40);
+
 const EMPTY_CELL: Cell = Cell {
-    pbest: Ratio::INFINITY,
+    pbest: Period::INFINITY,
     prev_b: 0,
     prev_l: 0,
     acc_b: 0,
@@ -301,7 +372,7 @@ const EMPTY_CELL: Cell = Cell {
 
 /// The virtual row 0 (`P*(0, ·, ·) = 0`): an empty prefix using no cores.
 const ZERO_CELL: Cell = Cell {
-    pbest: Ratio::ZERO,
+    pbest: Period::ZERO,
     prev_b: 0,
     prev_l: 0,
     acc_b: 0,
@@ -332,7 +403,8 @@ fn compare_cells(c: Cell, n: Cell) -> Cell {
     }
 }
 
-/// Stage weight without gcd normalization (hot path).
+/// Stage weight `sum / u` (`sum / 1` for a sequential stage), raw.
+/// Callers pass `u ≥ 1`.
 #[inline]
 fn stage_weight(
     chain: &TaskChain,
@@ -341,12 +413,10 @@ fn stage_weight(
     rep: bool,
     u: u64,
     v: CoreType,
-) -> Ratio {
-    let sum = u128::from(chain.interval_sum(start, end, v));
-    if rep {
-        Ratio::new_raw(sum, u128::from(u))
-    } else {
-        Ratio::new_raw(sum, 1)
+) -> Period {
+    Period {
+        num: chain.interval_sum(start, end, v),
+        den: if rep { u } else { 1 },
     }
 }
 
@@ -425,7 +495,7 @@ where
         if pruning != Pruning::None && c.pbest.is_finite() {
             // Even with every available core, this stage (and any longer
             // one: weights grow as i decreases) exceeds the best found.
-            let mut min_w = Ratio::INFINITY;
+            let mut min_w = Period::INFINITY;
             if b_av > 0 {
                 let u = if rep { b_av as u64 } else { 1 };
                 min_w = min_w.min(stage_weight(chain, s, e, rep, u, CoreType::Big));
@@ -567,7 +637,7 @@ impl Table {
     pub(crate) fn period_at(&self, resources: Resources) -> Ratio {
         let b = usize::try_from(resources.big).expect("core count fits usize");
         let l = usize::try_from(resources.little).expect("core count fits usize");
-        self.get(self.n, b, l).pbest
+        self.get(self.n, b, l).pbest.to_ratio()
     }
 
     /// Solves the full table at exactly `(chain.len(), b, l)`, sequentially
@@ -983,14 +1053,14 @@ impl ChainTable {
     }
 
     /// One cell as its canonical string form
-    /// `"pbest,prev_b,prev_l,acc_b,acc_l,v,start"`, with `pbest` an exact
-    /// `num/den` rational (or `inf`) and `v` one of `B`/`L`. Strings keep
-    /// the codec float-free and carry the `u128` rational exactly.
+    /// `"pbest,prev_b,prev_l,acc_b,acc_l,v,start"`, with `pbest` the exact
+    /// raw `num/den` (or `inf`) and `v` one of `B`/`L`. Strings keep the
+    /// codec float-free and carry the rational exactly.
     fn encode_cell(cell: &Cell) -> String {
         let pbest = if cell.pbest.is_infinite() {
             "inf".to_string()
         } else {
-            format!("{}/{}", cell.pbest.numer(), cell.pbest.denom())
+            format!("{}/{}", cell.pbest.num, cell.pbest.den)
         };
         let v = match cell.v {
             CoreType::Big => 'B',
@@ -1014,17 +1084,23 @@ impl ChainTable {
         };
         let pbest_text = next("pbest")?;
         let pbest = if pbest_text == "inf" {
-            Ratio::INFINITY
+            Period::INFINITY
         } else {
+            // Every period the DP writes has u64 parts; a larger one was
+            // never written by the encoder.
             let (num, den) = pbest_text
                 .split_once('/')
                 .ok_or_else(|| malformed("pbest is not num/den"))?;
-            let num: u128 = num.parse().map_err(|_| malformed("bad numerator"))?;
-            let den: u128 = den.parse().map_err(|_| malformed("bad denominator"))?;
+            let num: u64 = num
+                .parse()
+                .map_err(|_| malformed("numerator is not a u64"))?;
+            let den: u64 = den
+                .parse()
+                .map_err(|_| malformed("denominator is not a u64"))?;
             if den == 0 {
                 return Err(malformed("zero denominator"));
             }
-            Ratio::new_raw(num, den)
+            Period { num, den }
         };
         let parse_u32 = |text: &str| -> Result<u32, ChainTableError> {
             text.parse().map_err(|_| malformed("bad counter"))
@@ -1727,5 +1803,409 @@ mod tests {
             let warm = loaded.extract(&single, r, &mut out).then(|| out.clone());
             assert_eq!(warm, Herad::new().schedule(&single, r), "at {r}");
         }
+    }
+
+    /// The recurrence as it stood when every period was a `u128`
+    /// [`Ratio`]: `replaces`, `seed_cell` and `compute_cell` verbatim over
+    /// a cell type of their own, driven in the sequential order. The
+    /// oracle the integer cells are checked against, raw `num/den`
+    /// included.
+    mod ratio_oracle {
+        use super::super::Pruning;
+        use crate::chain::TaskChain;
+        use crate::ratio::Ratio;
+        use crate::resources::CoreType;
+
+        #[derive(Clone, Copy, Debug)]
+        pub(super) struct Cell {
+            pub(super) pbest: Ratio,
+            pub(super) prev_b: u32,
+            pub(super) prev_l: u32,
+            pub(super) acc_b: u32,
+            pub(super) acc_l: u32,
+            pub(super) v: CoreType,
+            pub(super) start: u32,
+        }
+
+        const EMPTY_CELL: Cell = Cell {
+            pbest: Ratio::INFINITY,
+            prev_b: 0,
+            prev_l: 0,
+            acc_b: 0,
+            acc_l: 0,
+            v: CoreType::Little,
+            start: 0,
+        };
+
+        const ZERO_CELL: Cell = Cell {
+            pbest: Ratio::ZERO,
+            ..EMPTY_CELL
+        };
+
+        fn replaces(c: &Cell, n: &Cell) -> bool {
+            if n.pbest < c.pbest {
+                return true;
+            }
+            if n.pbest > c.pbest {
+                return false;
+            }
+            (c.acc_l < n.acc_l && c.acc_b > n.acc_b) || (c.acc_l >= n.acc_l && c.acc_b >= n.acc_b)
+        }
+
+        fn compare_cells(c: Cell, n: Cell) -> Cell {
+            if replaces(&c, &n) {
+                n
+            } else {
+                c
+            }
+        }
+
+        fn stage_weight(
+            chain: &TaskChain,
+            start: usize,
+            end: usize,
+            rep: bool,
+            u: u64,
+            v: CoreType,
+        ) -> Ratio {
+            let sum = u128::from(chain.interval_sum(start, end, v));
+            if rep {
+                Ratio::new_raw(sum, u128::from(u))
+            } else {
+                Ratio::new_raw(sum, 1)
+            }
+        }
+
+        fn seed_cell(chain: &TaskChain, t: usize, rb: usize, rl: usize) -> Cell {
+            let rep = chain.is_replicable(0, t - 1);
+            let little = if rl == 0 {
+                EMPTY_CELL
+            } else {
+                Cell {
+                    pbest: stage_weight(chain, 0, t - 1, rep, rl as u64, CoreType::Little),
+                    prev_b: 0,
+                    prev_l: 0,
+                    acc_b: 0,
+                    acc_l: if rep { rl as u32 } else { 1 },
+                    v: CoreType::Little,
+                    start: 0,
+                }
+            };
+            if rb == 0 {
+                return little;
+            }
+            let wb = stage_weight(chain, 0, t - 1, rep, rb as u64, CoreType::Big);
+            if wb < little.pbest {
+                Cell {
+                    pbest: wb,
+                    prev_b: 0,
+                    prev_l: 0,
+                    acc_b: if rep { rb as u32 } else { 1 },
+                    acc_l: 0,
+                    v: CoreType::Big,
+                    start: 0,
+                }
+            } else {
+                little
+            }
+        }
+
+        fn compute_cell(
+            chain: &TaskChain,
+            j: usize,
+            b_av: usize,
+            l_av: usize,
+            pruning: Pruning,
+            get: impl Fn(usize, usize, usize) -> Cell,
+        ) -> Cell {
+            let mut c = seed_cell(chain, j, b_av, l_av);
+            if l_av > 0 {
+                c = compare_cells(c, get(j, b_av, l_av - 1));
+            }
+            if b_av > 0 {
+                c = compare_cells(c, get(j, b_av - 1, l_av));
+            }
+            for i in (1..=j).rev() {
+                let (s, e) = (i - 1, j - 1);
+                let rep = chain.is_replicable(s, e);
+                if pruning != Pruning::None && c.pbest.is_finite() {
+                    let mut min_w = Ratio::INFINITY;
+                    if b_av > 0 {
+                        let u = if rep { b_av as u64 } else { 1 };
+                        min_w = min_w.min(stage_weight(chain, s, e, rep, u, CoreType::Big));
+                    }
+                    if l_av > 0 {
+                        let u = if rep { l_av as u64 } else { 1 };
+                        min_w = min_w.min(stage_weight(chain, s, e, rep, u, CoreType::Little));
+                    }
+                    if min_w > c.pbest {
+                        break;
+                    }
+                }
+                for v in CoreType::BOTH {
+                    let avail = match v {
+                        CoreType::Big => b_av,
+                        CoreType::Little => l_av,
+                    };
+                    let u_max = if rep { avail } else { avail.min(1) };
+                    for u in 1..=u_max {
+                        let (pb, pl) = match v {
+                            CoreType::Big => (b_av - u, l_av),
+                            CoreType::Little => (b_av, l_av - u),
+                        };
+                        let prefix = get(i - 1, pb, pl);
+                        if pruning != Pruning::None && prefix.pbest > c.pbest {
+                            break;
+                        }
+                        let w = stage_weight(chain, s, e, rep, u as u64, v);
+                        let used = if rep { u as u32 } else { 1 };
+                        let cand = Cell {
+                            pbest: prefix.pbest.max(w),
+                            prev_b: pb as u32,
+                            prev_l: pl as u32,
+                            acc_b: prefix.acc_b + if v == CoreType::Big { used } else { 0 },
+                            acc_l: prefix.acc_l + if v == CoreType::Little { used } else { 0 },
+                            v,
+                            start: s as u32,
+                        };
+                        c = compare_cells(c, cand);
+                        if pruning == Pruning::Aggressive && w <= prefix.pbest {
+                            break;
+                        }
+                    }
+                }
+            }
+            c
+        }
+
+        /// The full `(chain.len(), b, l)` table, laid out like [`super::super::Table`].
+        pub(super) fn table(chain: &TaskChain, b: usize, l: usize, pruning: Pruning) -> Vec<Cell> {
+            let n = chain.len();
+            let idx = |j: usize, rb: usize, rl: usize| ((j - 1) * (b + 1) + rb) * (l + 1) + rl;
+            let mut cells = vec![EMPTY_CELL; n * (b + 1) * (l + 1)];
+            for j in 1..=n {
+                for rb in 0..=b {
+                    for rl in 0..=l {
+                        let cell = if j == 1 {
+                            seed_cell(chain, 1, rb, rl)
+                        } else if rb == 0 && rl == 0 {
+                            EMPTY_CELL
+                        } else {
+                            compute_cell(chain, j, rb, rl, pruning, |jj, pb, pl| {
+                                if jj == 0 {
+                                    ZERO_CELL
+                                } else {
+                                    cells[idx(jj, pb, pl)]
+                                }
+                            })
+                        };
+                        cells[idx(j, rb, rl)] = cell;
+                    }
+                }
+            }
+            cells
+        }
+    }
+
+    /// A cell's raw fields, periods widened so both cell types compare.
+    type RawCell = (u128, u128, u32, u32, u32, u32, CoreType, u32);
+
+    fn raw(cell: &Cell) -> RawCell {
+        (
+            u128::from(cell.pbest.num),
+            u128::from(cell.pbest.den),
+            cell.prev_b,
+            cell.prev_l,
+            cell.acc_b,
+            cell.acc_l,
+            cell.v,
+            cell.start,
+        )
+    }
+
+    fn raw_oracle(cell: &ratio_oracle::Cell) -> RawCell {
+        (
+            cell.pbest.numer(),
+            cell.pbest.denom(),
+            cell.prev_b,
+            cell.prev_l,
+            cell.acc_b,
+            cell.acc_l,
+            cell.v,
+            cell.start,
+        )
+    }
+
+    /// Asserts that every cell of `table` with indices `≤ (b, l)` equals
+    /// the oracle's, read from an oracle table of dimensions `(ob, ol)`.
+    fn assert_cells_match(
+        table: &Table,
+        oracle: &[ratio_oracle::Cell],
+        (ob, ol): (usize, usize),
+        (b, l): (usize, usize),
+        what: &str,
+    ) {
+        for j in 1..=table.n {
+            for rb in 0..=b {
+                for rl in 0..=l {
+                    let want = &oracle[((j - 1) * (ob + 1) + rb) * (ol + 1) + rl];
+                    assert_eq!(
+                        raw(&table.get(j, rb, rl)),
+                        raw_oracle(want),
+                        "{what}: cell ({j}, {rb}, {rl})"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A seeded chain of `n` tasks. Small weights make exact ties (the
+    /// tie-breaks under test) common; every fourth chain draws large
+    /// weights instead, so sums and cross-products get wide.
+    fn seeded_chain(seed: u64, n: usize) -> TaskChain {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let top = if seed % 4 == 3 { 1u64 << 40 } else { 12 };
+        TaskChain::new(
+            (0..n)
+                .map(|_| {
+                    let big = rng.gen_range(1..=top);
+                    let little = if rng.gen_bool(0.5) {
+                        big * rng.gen_range(1..=4u64)
+                    } else {
+                        rng.gen_range(1..=top)
+                    };
+                    Task::new(big, little, rng.gen_bool(0.6))
+                })
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn integer_cells_match_the_ratio_recurrence_bit_for_bit() {
+        for seed in 0..32u64 {
+            let n = 1 + seed as usize;
+            let c = seeded_chain(seed, n);
+            // Pools sweep 0–9 per side over the first 16 chains; longer
+            // chains stay within 0–6, because the grow sweep below solves
+            // the table once per smaller pool.
+            let side = if n > 16 { 7 } else { 10 };
+            let (b, l) = (n % side, (3 * n + 5) % side);
+            for pruning in [Pruning::None, Pruning::Lossless, Pruning::Aggressive] {
+                let oracle = ratio_oracle::table(&c, b, l, pruning);
+                let what = format!("{n} tasks at ({b}, {l}), {pruning:?}");
+                for workers in [1, 2] {
+                    let mut table = Table::default();
+                    table.rebuild(&c, b, l, pruning, workers);
+                    assert_cells_match(
+                        &table,
+                        &oracle,
+                        (b, l),
+                        (b, l),
+                        &format!("{what}, rebuild x{workers}"),
+                    );
+                }
+                // Every smaller pool, rebuilt (a sub-table of the oracle's)
+                // and then grown to the full pool.
+                for b0 in 0..=b {
+                    for l0 in 0..=l {
+                        let mut table = Table::default();
+                        table.rebuild(&c, b0, l0, pruning, 1);
+                        assert_cells_match(
+                            &table,
+                            &oracle,
+                            (b, l),
+                            (b0, l0),
+                            &format!("{what}, rebuild at ({b0}, {l0})"),
+                        );
+                        table.grow(&c, b, l, pruning);
+                        assert_cells_match(
+                            &table,
+                            &oracle,
+                            (b, l),
+                            (b, l),
+                            &format!("{what}, grown from ({b0}, {l0})"),
+                        );
+                    }
+                }
+                if pruning == Pruning::Aggressive {
+                    assert_render_matches(&c, Resources::new(b as u64, l as u64), &oracle);
+                }
+            }
+        }
+    }
+
+    /// [`ChainTable::render`] bytes against the document the oracle's
+    /// cells spell: same cell strings, same checksum.
+    fn assert_render_matches(c: &TaskChain, r: Resources, oracle: &[ratio_oracle::Cell]) {
+        use crate::json::Json;
+        let table = ChainTable::solve(c, r);
+        let cells: Vec<String> = oracle
+            .iter()
+            .map(|o| {
+                let pbest = if o.pbest.is_infinite() {
+                    "inf".to_string()
+                } else {
+                    format!("{}/{}", o.pbest.numer(), o.pbest.denom())
+                };
+                let v = if o.v == CoreType::Big { 'B' } else { 'L' };
+                format!(
+                    "{pbest},{},{},{},{},{v},{}",
+                    o.prev_b, o.prev_l, o.acc_b, o.acc_l, o.start
+                )
+            })
+            .collect();
+        let tasks: Vec<String> = table
+            .tasks()
+            .iter()
+            .map(|&(wb, wl, rep)| ChainTable::encode_task(wb, wl, rep))
+            .collect();
+        let (b, l) = table.dims();
+        let checksum = ChainTable::checksum(&tasks, b, l, &cells);
+        let mut doc = table.to_json();
+        let Json::Obj(obj) = &mut doc else {
+            unreachable!("a chain table is an object")
+        };
+        obj.insert(
+            "cells".to_string(),
+            Json::Arr(cells.into_iter().map(Json::Str).collect()),
+        );
+        obj.insert("checksum".to_string(), Json::Int(checksum));
+        assert_eq!(table.render(), doc.render_compact(), "render at {r}");
+    }
+
+    #[test]
+    fn periods_past_u64_are_malformed_cells() {
+        use crate::json::Json;
+        // A document the encoder never writes: a period part one past
+        // u64::MAX, under a checksum that matches, so only the cell
+        // decoder can refuse it.
+        let text = ChainTable::solve(&chain(), Resources::new(1, 1)).render();
+        let doc = Json::parse(&text).unwrap();
+        let obj = doc.as_obj().unwrap();
+        let strings = |key: &str| -> Vec<String> {
+            let items = obj[key].as_arr().unwrap().iter();
+            items.map(|x| x.as_str().unwrap().to_string()).collect()
+        };
+        let tasks = strings("tasks");
+        let too_big = u128::from(u64::MAX) + 1;
+        for bad in [format!("{too_big}/1"), format!("3/{too_big}")] {
+            let mut cells = strings("cells");
+            let (_, rest) = cells[1].split_once(',').unwrap();
+            cells[1] = format!("{bad},{rest}");
+            let checksum = ChainTable::checksum(&tasks, 1, 1, &cells);
+            let mut forged = obj.clone();
+            forged.insert("checksum".to_string(), Json::Int(checksum));
+            let cells = cells.into_iter().map(Json::Str).collect();
+            forged.insert("cells".to_string(), Json::Arr(cells));
+            match ChainTable::from_json(&Json::Obj(forged)) {
+                Err(ChainTableError::Malformed { message }) => {
+                    assert!(message.contains("not a u64"), "{message}");
+                }
+                other => panic!("{bad}: expected Malformed, got {other:?}"),
+            }
+        }
+        // u64::MAX itself still decodes.
+        assert!(ChainTable::decode_cell(&format!("{}/1,0,0,0,1,L,0", u64::MAX)).is_ok());
     }
 }

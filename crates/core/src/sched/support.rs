@@ -19,14 +19,16 @@ pub fn max_packing(chain: &TaskChain, start: usize, c: u64, v: CoreType, target:
     // (`max(s, ...)` in Algorithm 3); extensions are only taken while the
     // stage weight stays within the target.
     let mut e = start;
-    while e + 1 < n && chain.stage_weight(start, e + 1, c, v) <= target {
+    while e + 1 < n && chain.stage_weight_le(start, e + 1, c, v, target) {
         e += 1;
     }
     e
 }
 
 /// `RequiredCores` (Algorithm 3): `ceil(w([start, end], 1, v) / target)`,
-/// the number of cores a replicable stage needs to meet `target`.
+/// the number of cores a replicable stage needs to meet `target`. On one
+/// core the stage weight is the plain interval sum `w`, so for a target
+/// `p/q` this is one integer `ceil(w·q / p)`.
 #[must_use]
 pub fn required_cores(
     chain: &TaskChain,
@@ -35,9 +37,11 @@ pub fn required_cores(
     v: CoreType,
     target: Ratio,
 ) -> u64 {
-    let w = chain.stage_weight(start, end, 1, v);
-    w.div_ceil(target)
-        .expect("single-core stage weight is always finite")
+    debug_assert!(target.is_finite() && !target.is_zero());
+    let sum = u128::from(chain.interval_sum(start, end, v));
+    let cores = (sum * target.denom()).div_ceil(target.numer());
+    u64::try_from(cores)
+        .expect("core count overflows u64")
         .max(1)
 }
 
@@ -74,7 +78,7 @@ pub fn compute_stage(
             // `max_packing` keeps the first task even when it does not fit
             // (`max(s, ...)`): only reduce when the shrunk stage actually
             // meets the target with one core fewer.
-            if chain.stage_weight(start, f, u - 1, v) <= target
+            if chain.stage_weight_le(start, f, u - 1, v, target)
                 && required_cores(chain, f + 1, e + 1, v, target) == 1
             {
                 e = f;
@@ -98,7 +102,7 @@ pub fn stage_fits(
     v: CoreType,
     target: Ratio,
 ) -> bool {
-    used >= 1 && used <= c && chain.stage_weight(start, end, used, v) <= target
+    used >= 1 && used <= c && chain.stage_weight_le(start, end, used, v, target)
 }
 
 #[cfg(test)]
@@ -258,5 +262,77 @@ mod tests {
             CoreType::Big,
             Ratio::from_int(99)
         ));
+    }
+
+    #[test]
+    fn integer_weight_checks_match_the_built_weights() {
+        use crate::resources::Resources;
+        use crate::sched::binary_search::PeriodBounds;
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x7a12);
+        for case in 0..64u64 {
+            let n = rng.gen_range(1..=12usize);
+            let top = if case % 4 == 3 { 1u64 << 40 } else { 20 };
+            let c = TaskChain::new(
+                (0..n)
+                    .map(|_| {
+                        Task::new(
+                            rng.gen_range(1..=top),
+                            rng.gen_range(1..=top),
+                            rng.gen_bool(0.6),
+                        )
+                    })
+                    .collect(),
+            );
+            let pool = Resources::new(rng.gen_range(0..=9), rng.gen_range(1..=9));
+            // Targets: the binary search's own midpoints (a random walk
+            // down the bisection), plain integers and fractions, and
+            // infinity.
+            let bounds = PeriodBounds::compute(&c, pool).unwrap();
+            let (mut lo, mut hi) = (bounds.lower, bounds.upper);
+            let mut targets = vec![
+                Ratio::INFINITY,
+                lo,
+                hi,
+                Ratio::from_int(1),
+                Ratio::new(7, 3),
+            ];
+            for _ in 0..24 {
+                let mid = lo.midpoint(hi);
+                targets.push(mid);
+                if rng.gen_bool(0.5) {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            for &target in &targets {
+                for start in 0..n {
+                    for end in start..n {
+                        for v in CoreType::BOTH {
+                            for r in 0..=9 {
+                                assert_eq!(
+                                    c.stage_weight_le(start, end, r, v, target),
+                                    c.stage_weight(start, end, r, v) <= target,
+                                    "[{start}, {end}] x{r} {v:?} vs {target}"
+                                );
+                            }
+                            if target.is_finite() {
+                                let built = c
+                                    .stage_weight(start, end, 1, v)
+                                    .div_ceil(target)
+                                    .unwrap()
+                                    .max(1);
+                                assert_eq!(
+                                    required_cores(&c, start, end, v, target),
+                                    built,
+                                    "[{start}, {end}] {v:?} at {target}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }

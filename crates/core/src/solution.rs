@@ -166,7 +166,9 @@ pub fn used_cores_of(stages: &[Stage]) -> Resources {
 
 /// `IsValid` (Algorithm 3) over a stage slice: non-empty, period within
 /// `target`, resource constraints of Eq. (3). Slice-level twin of
-/// [`Solution::is_valid`].
+/// [`Solution::is_valid`]. The period bound is checked stage by stage
+/// (the largest weight is within `target` exactly when every weight is),
+/// each by cross-multiplication, so no weight is built.
 #[must_use]
 pub fn stages_are_valid(
     chain: &TaskChain,
@@ -180,7 +182,9 @@ pub fn stages_are_valid(
     let used = used_cores_of(stages);
     used.big <= resources.big
         && used.little <= resources.little
-        && period_of(chain, stages) <= target
+        && stages
+            .iter()
+            .all(|s| chain.stage_weight_le(s.start, s.end, s.cores, s.core_type, target))
 }
 
 /// A complete pipelined/replicated mapping of a task chain.

@@ -1239,6 +1239,38 @@ mod tests {
     }
 
     #[test]
+    fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
+        let depth = 10_000;
+        let deep = |prefix: &str| format!("{prefix}{}{}}}", "[".repeat(depth), "]".repeat(depth));
+        // Under an unknown key, under `tasks`, and as a task item: the
+        // cap is a syntax error (no id), at the bracket past the cap.
+        for (prefix, open) in [
+            ("{\"x\":", 1),
+            ("{\"id\":3,\"tasks\":", 1),
+            ("{\"id\":3,\"tasks\":[[1,2,1],", 2),
+        ] {
+            let (id, err) = parse_request(&deep(prefix), 8).unwrap_err();
+            assert_eq!((id, err.code), (None, "PARSE_ERROR"), "{prefix}");
+            let offset = prefix.len() + amp_core::json::MAX_DEPTH - open;
+            assert!(
+                err.message
+                    .ends_with(&format!("byte {offset}: nesting deeper than 128 levels")),
+                "{prefix}: {}",
+                err.message
+            );
+        }
+        // Nesting within the cap is only a shape problem: the id survives.
+        let inner = amp_core::json::MAX_DEPTH - 2;
+        let line = format!(
+            "{{\"id\":3,\"x\":{}{}}}",
+            "[".repeat(inner),
+            "]".repeat(inner)
+        );
+        let (id, err) = parse_request(&line, 8).unwrap_err();
+        assert_eq!((id, err.code), (Some(3), "BAD_REQUEST"));
+    }
+
+    #[test]
     fn responses_round_trip_ok_and_err() {
         let req = request();
         let chain = req.chain();

@@ -251,6 +251,37 @@ fn malformed_frames_get_typed_answers_and_spare_their_neighbors() {
 }
 
 #[test]
+fn deeply_nested_frame_is_answered_and_the_server_keeps_serving() {
+    // 20 KB nested 10 000 deep: recursing once per level would overflow
+    // the reader's stack and abort the whole process.
+    let server = Server::start(small_server_config()).expect("server");
+    let (mut stream, mut reader) = connect(&server);
+    let depth = 10_000;
+    let frame = format!("{{\"x\":{}{}}}", "[".repeat(depth), "]".repeat(depth));
+    send_line(&mut stream, &frame);
+    let (id, result) = read_response(&mut reader);
+    assert_eq!(id, None, "a syntax error carries no id");
+    assert_eq!(result.expect_err("too deep"), "PARSE_ERROR");
+
+    // The same connection goes on serving.
+    send_line(
+        &mut stream,
+        &amp_net::proto::render_request(&request(11, 2), "public"),
+    );
+    let (id, result) = read_response(&mut reader);
+    assert_eq!(id, Some(11));
+    assert!(result.is_ok(), "the server must survive the deep frame");
+    send_line(&mut stream, "{\"op\":\"ping\"}");
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read pong");
+    assert!(line.contains("pong"));
+    assert_eq!(server.net_snapshot().parse_errors, 1);
+
+    drop(stream);
+    server.shutdown();
+}
+
+#[test]
 fn fuzzed_garbage_never_panics_the_server() {
     use rand::{rngs::StdRng, Rng, SeedableRng};
     let server = Server::start(ServerConfig {

@@ -88,8 +88,9 @@ mod tests {
     use super::*;
     use crate::work::WeightedWork;
 
-    #[test]
-    fn profiled_weights_track_the_work_model() {
+    /// A fast replicable task and a slow sequential one, profiled in
+    /// microseconds.
+    fn profiled_fast_slow() -> TaskChain {
         let tasks = vec![
             RuntimeTask::<u64>::new("fast", true, WeightedWork::new(200.0, 800.0)),
             RuntimeTask::<u64>::new("slow", false, WeightedWork::new(1000.0, 2000.0)),
@@ -98,8 +99,24 @@ mod tests {
             unit_nanos: 1000,
             ..ProfileConfig::default()
         };
-        let chain = profile_chain(&tasks, |s| s, &us);
+        profile_chain(&tasks, |s| s, &us)
+    }
+
+    /// The deterministic half: one task per runtime task, replicability
+    /// copied. The measured weights move with host load, so
+    /// `profiled_weight_timings_track_the_work_model` asserts them.
+    #[test]
+    fn profiled_weights_track_the_work_model() {
+        let chain = profiled_fast_slow();
         assert_eq!(chain.len(), 2);
+        let (t0, t1) = (chain.task(0), chain.task(1));
+        assert!(!t1.replicable && t0.replicable);
+    }
+
+    #[test]
+    #[ignore = "wall-clock assertion; scripts/ci.sh runs it in release mode"]
+    fn profiled_weight_timings_track_the_work_model() {
+        let chain = profiled_fast_slow();
         // Within 50% of the configured cost (spin calibration tolerance on
         // noisy CI machines).
         let t0 = chain.task(0);
@@ -111,7 +128,6 @@ mod tests {
         );
         let t1 = chain.task(1);
         assert!(t1.weight_big > t0.weight_big);
-        assert!(!t1.replicable && t0.replicable);
         // The little/big ratio should roughly match the 4x / 2x setup.
         let r0 = t0.weight_little as f64 / t0.weight_big as f64;
         assert!((2.0..=8.0).contains(&r0), "ratio {r0}");

@@ -16,22 +16,27 @@ pub struct SpinCalibration {
 }
 
 impl SpinCalibration {
-    /// Measures the host: runs the kernel in growing batches until a batch
-    /// takes at least 20 ms, then derives iterations per microsecond.
+    /// Measures the host: grows a batch of kernel iterations until it
+    /// takes at least 2 ms, times that batch ten more times and derives
+    /// iterations per microsecond from the fastest run. A stall (a
+    /// preempted virtual CPU) only ever lengthens a batch, so the fastest
+    /// one is the undisturbed rate; a rate taken from a stalled batch
+    /// would shorten every later spin.
     #[must_use]
     pub fn calibrate() -> SpinCalibration {
-        let mut iters: u64 = 10_000;
-        loop {
+        let time = |iters: u64| {
             let start = Instant::now();
             let _ = spin_kernel(iters, 0x9e37_79b9);
-            let dt = start.elapsed();
-            if dt >= Duration::from_millis(20) {
-                let micros = dt.as_secs_f64() * 1e6;
-                return SpinCalibration {
-                    iters_per_micro: (iters as f64 / micros).max(1.0),
-                };
-            }
+            start.elapsed()
+        };
+        let mut iters: u64 = 10_000;
+        while time(iters) < Duration::from_millis(2) {
             iters = iters.saturating_mul(2);
+        }
+        let fastest = (0..10).map(|_| time(iters)).min().expect("ten runs");
+        let micros = fastest.as_secs_f64() * 1e6;
+        SpinCalibration {
+            iters_per_micro: (iters as f64 / micros).max(1.0),
         }
     }
 

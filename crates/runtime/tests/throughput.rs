@@ -70,14 +70,21 @@ fn measured_fps_tracks_analytic_period() {
     let expected_period_us = solution.period(&chain).to_f64();
 
     // With fewer physical cores than workers, throughput is bounded by the
-    // serialized work per frame instead of the pipeline period.
+    // serialized work per frame instead of the pipeline period: each
+    // stage's interval weight on its assigned core type, shared by the
+    // host's CPUs.
     let workers: u64 = solution.stages().iter().map(|s| s.cores).sum();
-    if host_cpus() < workers as usize {
-        let serial_us: f64 = chain.total(amp_core::CoreType::Big) as f64;
-        let bound_fps = 1e6 / serial_us;
+    let cpus = host_cpus();
+    if cpus < workers as usize {
+        let serial_us: u64 = solution
+            .stages()
+            .iter()
+            .map(|s| chain.interval_sum(s.start, s.end, s.core_type))
+            .sum();
+        let bound_fps = 1e6 * cpus as f64 / serial_us as f64;
         assert!(
             report.fps < bound_fps * 1.2,
-            "measured {} fps above the single-core bound {}",
+            "measured {} fps above the serialized-work bound {} ({serial_us} µs over {cpus} CPUs)",
             report.fps,
             bound_fps
         );

@@ -64,6 +64,25 @@ fn serve_all(tier: &ChainTier, workload: &[(TaskChain, Vec<Resources>)]) -> Vec<
     answers
 }
 
+/// The snapshot checked in at the repository root, written by an earlier
+/// build, loads and saves back byte for byte: the format (version 1) is
+/// independent of how the DP cells hold their periods in memory.
+#[test]
+fn checked_in_snapshot_loads_and_saves_back_byte_identical() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../SNAP_chain_tier.json");
+    let original = std::fs::read(&path).expect("checked-in snapshot");
+    let tier = ChainTier::new(64, None);
+    let loaded = tier
+        .load_from(&path)
+        .expect("the checked-in snapshot loads");
+    assert!(loaded >= 1);
+    let echo = scratch_path();
+    assert_eq!(tier.save_to(&echo).expect("save"), loaded);
+    let saved = std::fs::read(&echo).expect("echo exists");
+    std::fs::remove_file(&echo).ok();
+    assert_eq!(saved, original);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 

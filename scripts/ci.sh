@@ -103,6 +103,10 @@ cargo run --release -p amp-conformance -- --reconfig-only --seeds 1000 --max-tas
 cargo run --release -p amp-experiments --bin reconfig_sweep -- --smoke --out BENCH_reconfig.json
 
 # Wall-clock gate, release mode: measured runtime fps against the
-# analytic period of the schedule (tier-1 keeps only the frame count of
-# the same run; host load moves the fps, so it is asserted here).
+# analytic period of the schedule, and profiled weights against the work
+# model they measure (tier-1 keeps only the frame counts, lengths and
+# replicability flags of the same runs; host load moves the timings, so
+# they are asserted here).
 cargo test --release -q -p amp-runtime --test throughput -- --ignored
+cargo test --release -q -p amp-runtime --lib profiler -- --ignored
+cargo test --release -q -p amp-integration-tests --test end_to_end -- --ignored

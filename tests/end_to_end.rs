@@ -35,31 +35,41 @@ fn dvbs2_schedules_simulate_to_their_analytic_period() {
     }
 }
 
-/// The full measure→schedule→execute workflow on the threaded runtime:
-/// profile synthetic work, schedule from the measured chain, run it, and
-/// verify every frame is processed exactly once.
-#[test]
-fn profile_schedule_execute_roundtrip() {
-    // A pipeline of spin tasks with known asymmetric costs.
-    let spec_tasks: Vec<RuntimeTask<u64>> = vec![
+/// A pipeline of spin tasks with known asymmetric costs.
+fn spin_tasks() -> Vec<RuntimeTask<u64>> {
+    vec![
         RuntimeTask::new("ingest", false, WeightedWork::new(150.0, 320.0)),
         RuntimeTask::new("heavy", true, WeightedWork::new(900.0, 2100.0)),
         RuntimeTask::new("emit", false, WeightedWork::new(100.0, 190.0)),
-    ];
-    // 1. Profile on the virtual cores.
-    let measured = profile_chain(
-        &spec_tasks,
+    ]
+}
+
+/// [`spin_tasks`] profiled on the virtual cores, in microseconds.
+fn profile_spin_tasks(spec_tasks: &[RuntimeTask<u64>]) -> TaskChain {
+    profile_chain(
+        spec_tasks,
         |s| s,
         &ProfileConfig {
             frames: 12,
             warmup: 2,
             unit_nanos: 1000,
         },
-    );
+    )
+}
+
+/// The full measure→schedule→execute workflow on the threaded runtime:
+/// profile synthetic work, schedule from the measured chain, run it, and
+/// verify every frame is processed exactly once. The measured weights
+/// move with host load; `profiled_spin_tasks_keep_their_asymmetry`
+/// asserts them.
+#[test]
+fn profile_schedule_execute_roundtrip() {
+    let spec_tasks = spin_tasks();
+    // 1. Profile on the virtual cores.
+    let measured = profile_spin_tasks(&spec_tasks);
     assert_eq!(measured.len(), 3);
-    for t in measured.tasks() {
-        assert!(t.weight_little > t.weight_big, "{t:?}");
-    }
+    let replicable: Vec<bool> = measured.tasks().iter().map(|t| t.replicable).collect();
+    assert_eq!(replicable, [false, true, false]);
     // 2. Schedule from the measurement.
     let resources = Resources::new(2, 2);
     let solution = Herad::new().schedule(&measured, resources).unwrap();
@@ -75,6 +85,15 @@ fn profile_schedule_execute_roundtrip() {
         )
         .unwrap();
     assert_eq!(report.frames, 60);
+}
+
+#[test]
+#[ignore = "wall-clock assertion; scripts/ci.sh runs it in release mode"]
+fn profiled_spin_tasks_keep_their_asymmetry() {
+    let measured = profile_spin_tasks(&spin_tasks());
+    for t in measured.tasks() {
+        assert!(t.weight_little > t.weight_big, "{t:?}");
+    }
 }
 
 /// The functional DVB-S2 receiver decodes bit-exactly while running as a
