@@ -9,7 +9,8 @@
 //!   instance;
 //! * **warm** — `schedule_into()` re-solving the *same* instance on one
 //!   persistent [`SchedScratch`]: the steady state of service
-//!   resubmissions, where HeRAD's replay memo short-circuits the DP;
+//!   resubmissions, where HeRAD extracts from the scratch's table without
+//!   any DP work;
 //! * **cold_sweep / warm_sweep** — the same `(b, ℓ)` *grid sweep* (every
 //!   chain at every pool in `SWEEP_STEPS²`, chain-major) solved cold
 //!   versus on one persistent scratch. The sweep is the shape behind the
@@ -269,8 +270,9 @@ fn bench_strategy(
     // the per-thread counter is exact; the batched pass may spawn workers
     // and is counted through the process-wide counter over a quiesced
     // round (scratches already warm, so the count is results + solutions,
-    // not arena growth). The warm pass exercises both memo hits (same
-    // instance twice) and misses (instance changes between jobs).
+    // not arena growth). The warm pass exercises both table extractions
+    // (same instance twice) and rebuilds (the chain changes between
+    // jobs).
     let (_, cold_allocs) = alloc_track::count_thread_allocs(|| {
         for &(chain, r) in &jobs {
             black_box(strategy.schedule(chain, r));

@@ -606,9 +606,11 @@ fn fmt_solution(s: &Option<Solution>) -> String {
 /// and interleaved order. Every incremental solve — sub-table extraction
 /// or pool-delta grow — must be bit-identical to a fresh allocating
 /// solve, and the warm `optimal_period_with` must match the allocating
-/// `optimal_period`. Descending and interleaved orders force rebuilds and
-/// mixed grow/extract transitions; `Pruning::None` is checked on the
-/// ascending order to pin the unpruned recurrence too.
+/// `optimal_period`. The descending order solves the largest pool first,
+/// so every later pool is a pure extraction; the interleaved order grows
+/// the table once, on its second pool, and extracts after that.
+/// `Pruning::None` is checked on the ascending order to pin the unpruned
+/// recurrence too.
 #[must_use]
 pub fn check_sweep(inst: &Instance) -> Vec<Mismatch> {
     let mut out = Vec::new();
@@ -617,8 +619,7 @@ pub fn check_sweep(inst: &Instance) -> Vec<Mismatch> {
         .flat_map(|b| (0..=inst.little + 1).map(move |l| (b, l)))
         .collect();
     let descending: Vec<(u64, u64)> = ascending.iter().rev().copied().collect();
-    // Interleave the two ends so small and large pools alternate: every
-    // step is either a rebuild-sized jump down or a grow-sized jump up.
+    // Interleave the two ends so small and large pools alternate.
     let mut interleaved = Vec::with_capacity(ascending.len());
     let (mut lo, mut hi) = (0usize, ascending.len());
     while lo < hi {
@@ -679,14 +680,15 @@ pub fn check_sweep(inst: &Instance) -> Vec<Mismatch> {
 }
 
 /// Differential checks of the solve-once chain tier's building block,
-/// [`ChainTable`]: one table is cold-solved at the smallest pool, grown
-/// in place across the ascending `(b, ℓ)` grid up to one step past the
-/// instance pool, and every covered sub-pool answer must be bit-identical
-/// to a fresh `Herad::new()` solve (`TIER_DIVERGE`) with the exact
-/// optimal period (`TIER_PERIOD`). The fully-grown table is then
-/// serialized, parsed back, checked byte-stable (`TIER_SNAPSHOT`), and
-/// re-extracted over the grid in *descending* order — restored tables
-/// must answer sub-pools just like live ones.
+/// [`ChainTable`]: [`Herad::fill`] cold-solves one table at the smallest
+/// pool and grows it in place across the ascending `(b, ℓ)` grid up to
+/// one step past the instance pool, and every covered sub-pool answer
+/// must be bit-identical to a fresh `Herad::new()` solve
+/// (`TIER_DIVERGE`) with the exact optimal period (`TIER_PERIOD`). The
+/// fully-grown table is then serialized, parsed back, checked
+/// byte-stable (`TIER_SNAPSHOT`), and re-extracted over the grid in
+/// *descending* order — restored tables must answer sub-pools just like
+/// live ones.
 #[must_use]
 pub fn check_chain_tier(inst: &Instance) -> Vec<Mismatch> {
     let mut out = Vec::new();
@@ -698,20 +700,12 @@ pub fn check_chain_tier(inst: &Instance) -> Vec<Mismatch> {
     let ascending: Vec<(u64, u64)> = (0..=inst.big + 1)
         .flat_map(|b| (0..=inst.little + 1).map(move |l| (b, l)))
         .collect();
-    let mut table: Option<ChainTable> = None;
+    let mut table = ChainTable::default();
     let mut warm = Solution::empty();
     for &(b, l) in &ascending {
         let r = Resources::new(b, l);
-        let t = match table.as_mut() {
-            None => table.insert(ChainTable::solve(&chain, r)),
-            Some(t) => {
-                if !t.covers(r) {
-                    t.grow_to(&chain, r);
-                }
-                t
-            }
-        };
-        let got = t.extract(&chain, r, &mut warm).then(|| warm.clone());
+        herad.fill(&mut table, &chain, r);
+        let got = table.extract(&chain, r, &mut warm).then(|| warm.clone());
         let fresh = herad.schedule(&chain, r);
         if got != fresh {
             out.push(Mismatch::new(
@@ -724,7 +718,7 @@ pub fn check_chain_tier(inst: &Instance) -> Vec<Mismatch> {
                 ),
             ));
         }
-        let period = t.period_at(r);
+        let period = table.period_at(r);
         let optimum = herad.optimal_period(&chain, r);
         if period != optimum {
             out.push(Mismatch::new(
@@ -741,7 +735,6 @@ pub fn check_chain_tier(inst: &Instance) -> Vec<Mismatch> {
 
     // Snapshot round trip at the final (maximal) dimensions, then answer
     // the same grid from the restored table in descending order.
-    let table = table.expect("grid is never empty");
     let text = table.render();
     let restored = match ChainTable::parse(&text) {
         Ok(restored) => restored,

@@ -6,13 +6,12 @@
 //! it and the corpus stores it as JSON (see [`crate::json`]).
 
 use amp_core::{Resources, Task, TaskChain};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One task of an instance — the serializable mirror of [`amp_core::Task`]
 /// without the display name, so equal instances compare and serialize
 /// identically.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct TaskDef {
     /// Computation weight on a big core (must be positive).
     pub weight_big: u64,
@@ -35,7 +34,7 @@ impl TaskDef {
 }
 
 /// A scheduling instance under test.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Instance {
     /// Provenance label: `"seed-123"` for fuzzed instances, a descriptive
     /// slug for corpus entries. Not part of the instance semantics.

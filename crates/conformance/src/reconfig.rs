@@ -60,21 +60,14 @@ pub fn check_reconfig(inst: &Instance) -> Vec<Mismatch> {
     let script = pool_script(inst);
 
     // 1. The incremental re-solve path, exactly as the runtime drives it:
-    // cold solve at the first pool, then grow/extract per script step.
-    let mut table: Option<ChainTable> = None;
+    // `Herad::fill` solves cold at the first pool, then grows or extracts
+    // per script step.
+    let mut table = ChainTable::default();
     let mut warm = Solution::empty();
     let mut feasible: Vec<Solution> = Vec::new();
     for &r in &script {
-        let t = match table.as_mut() {
-            None => table.insert(ChainTable::solve(&chain, r)),
-            Some(t) => {
-                if !t.covers(r) {
-                    t.grow_to(&chain, r);
-                }
-                t
-            }
-        };
-        let got = t.extract(&chain, r, &mut warm).then(|| warm.clone());
+        herad.fill(&mut table, &chain, r);
+        let got = table.extract(&chain, r, &mut warm).then(|| warm.clone());
         let fresh = herad.schedule(&chain, r);
         if got != fresh {
             out.push(Mismatch::new(
@@ -88,7 +81,7 @@ pub fn check_reconfig(inst: &Instance) -> Vec<Mismatch> {
                 ),
             ));
         }
-        let period = t.period_at(r);
+        let period = table.period_at(r);
         let optimum = herad.optimal_period(&chain, r);
         if period != optimum {
             out.push(Mismatch::new(

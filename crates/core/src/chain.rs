@@ -8,11 +8,10 @@
 
 use crate::ratio::Ratio;
 use crate::resources::CoreType;
-use serde::{Deserialize, Serialize};
 
 /// One task of a chain: its latency on each core type and whether it may be
 /// replicated (stateless) or not (stateful).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Task {
     /// Human-readable name (task ids in synthetic chains, block names in the
     /// DVB-S2 chain).
@@ -52,7 +51,7 @@ impl Task {
 ///
 /// All interval arguments are 0-based and inclusive: `[start, end]` denotes
 /// tasks `τ_{start+1} .. τ_{end+1}` in the paper's 1-based notation.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TaskChain {
     tasks: Vec<Task>,
     /// `prefix_big[i]` = sum of big-core weights of tasks `0..i`.

@@ -24,10 +24,9 @@ use crate::chain::TaskChain;
 use crate::ratio::Ratio;
 use crate::resources::CoreType;
 use crate::solution::{Solution, Stage};
-use serde::{Deserialize, Serialize};
 
 /// Fixed power draw per active core, by type.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PowerModel {
     /// Watts drawn by one busy big core.
     pub big_watts: f64,
@@ -154,7 +153,7 @@ pub fn milliwatts_to_watts(milliwatts: u64) -> f64 {
 /// [`PowerModel`]. Per-core draws are whole milliwatts and the idle
 /// fraction is per-mille, so every power figure derived from it is an
 /// exact rational in milliwatt units.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct MilliPower {
     /// Milliwatts drawn by one busy big core.
     pub big_mw: u64,

@@ -1,10 +1,9 @@
 //! The two-type resource model: `R = (b, l)` big and little cores.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The two core types of a heterogeneous (big.LITTLE-style) processor.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CoreType {
     /// High-performance ("big", P-) core.
     Big,
@@ -42,7 +41,7 @@ impl fmt::Display for CoreType {
 }
 
 /// A pool of cores of both types, `R = (b, l)` in the paper.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Resources {
     /// Number of big cores, `b`.
     pub big: u64,

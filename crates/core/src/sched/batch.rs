@@ -9,7 +9,7 @@
 //! consecutive jobs from a shared atomic cursor — chunking matters twice:
 //! it amortizes the cursor contention over many jobs, and it hands each
 //! worker a consecutive run of jobs, which is exactly the access pattern
-//! HeRAD's sweep memo turns into pool-delta warm starts (consecutive jobs
+//! HeRAD's keyed table turns into pool-delta warm starts (consecutive jobs
 //! in a sweep share a chain or grow a pool). Every job is solved exactly
 //! once and the result vector is bit-identical to sequential
 //! [`Scheduler::schedule`] calls regardless of worker count or chunk
@@ -18,7 +18,7 @@
 //! [`schedule_many_with`] is the primitive: the caller owns the worker
 //! scratches, so repeated batches (benchmark rounds, campaign strategies
 //! over the same instance set, service warm-up waves) keep every
-//! worker's DP table, memo and buffer pool hot across calls.
+//! worker's DP table and buffer pool hot across calls.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -54,8 +54,7 @@ unsafe impl Sync for SharedResults {}
 /// everything runs on the calling thread.
 ///
 /// The scratches are the warm state: pass the same slice to every batch
-/// and each worker keeps its HeRAD sweep table, replay memo and stage
-/// pool across batches. An empty slice is allowed and behaves like a
+/// and each worker keeps its HeRAD table and stage pool across batches. An empty slice is allowed and behaves like a
 /// single fresh scratch.
 #[must_use]
 pub fn schedule_many_with(

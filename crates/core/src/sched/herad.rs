@@ -174,9 +174,9 @@ impl Herad {
         self.optimal_period_with(chain, resources, &mut scratch)
     }
 
-    /// [`Herad::optimal_period`] reusing the caller's scratch
-    /// (allocation-free once the DP table has warmed up, and
-    /// extraction-free when the sweep memo already covers the pool).
+    /// [`Herad::optimal_period`] on the scratch's [`ChainTable`], brought
+    /// to cover the pool by [`Herad::fill`] (allocation-free once the
+    /// table has warmed up, and DP-free when it already covers the pool).
     #[must_use]
     pub fn optimal_period_with(
         &self,
@@ -187,45 +187,71 @@ impl Herad {
         if resources.is_exhausted() {
             return None;
         }
-        let p = self
-            .sweep_table(chain, resources, scratch)
-            .period_at(resources);
-        p.is_finite().then_some(p)
+        self.fill(&mut scratch.herad_table, chain, resources);
+        scratch.herad_table.period_at(resources)
     }
 
-    /// Returns the scratch's sweep table, solved for (at least) this
-    /// chain + pool: a covering table is reused as-is (extraction-only
-    /// solve), a smaller same-chain table grows by the pool delta, and
-    /// anything else is rebuilt from scratch at exactly the requested
-    /// dimensions. The `valid` flag is dropped while the table is being
-    /// mutated so a panicking solve can never leave a half-written table
-    /// behind a matching key.
-    fn sweep_table<'s>(
+    /// Brings `table` to cover `chain` on `resources` under this
+    /// scheduler's pruning, and reports how. A table keyed to the chain
+    /// and pruning that covers the pool is left as it is; one keyed to
+    /// them at a smaller pool grows in place by the pool delta; anything
+    /// else is rebuilt at exactly this pool, in the table's own cell and
+    /// key buffers. Growing and rebuilding run with the key cleared, so a
+    /// fill that unwinds leaves a table that matches no chain, and the
+    /// next fill rebuilds it.
+    pub fn fill(
         &self,
+        table: &mut ChainTable,
         chain: &TaskChain,
         resources: Resources,
-        scratch: &'s mut SchedScratch,
-    ) -> &'s Table {
+    ) -> TableFill {
+        self.fill_with(table, chain, resources, |_| {})
+    }
+
+    /// [`Herad::fill`], calling `before` with the decision right before
+    /// acting on it: inside the mutation window for a grow or a rebuild,
+    /// ahead of any extraction otherwise. The service tier injects its
+    /// faults there.
+    pub fn fill_with(
+        &self,
+        table: &mut ChainTable,
+        chain: &TaskChain,
+        resources: Resources,
+        before: impl FnOnce(TableFill),
+    ) -> TableFill {
+        let fill = if table.pruning != self.pruning || !table.matches(chain) {
+            TableFill::Cold
+        } else if table.covers(resources) {
+            TableFill::Extracted
+        } else {
+            TableFill::Grown
+        };
+        if fill == TableFill::Extracted {
+            before(fill);
+            return fill;
+        }
+        let mut key = std::mem::take(&mut table.tasks);
+        before(fill);
         let b = usize::try_from(resources.big).expect("core count fits usize");
         let l = usize::try_from(resources.little).expect("core count fits usize");
-        let sweep = &mut scratch.herad_sweep;
-        if sweep.matches(self.pruning, chain) {
-            if !sweep.table.covers(chain.len(), b, l) {
-                let grown_b = b.max(sweep.table.dim_b());
-                let grown_l = l.max(sweep.table.dim_l());
-                sweep.valid = false;
-                sweep.table.grow(chain, grown_b, grown_l, self.pruning);
-                sweep.valid = true;
-            }
+        if fill == TableFill::Grown {
+            let (b0, l0) = table.dims();
+            table.table.grow(chain, b.max(b0), l.max(l0), self.pruning);
         } else {
             let cells = chain.len() * (b + 1) * (l + 1);
-            sweep.valid = false;
-            sweep
-                .table
-                .rebuild(chain, b, l, self.pruning, self.kernel_workers(cells));
-            sweep.rekey(self.pruning, chain);
+            let workers = self.kernel_workers(cells);
+            table.table.rebuild(chain, b, l, self.pruning, workers);
+            table.pruning = self.pruning;
+            key.clear();
+            key.extend(
+                chain
+                    .tasks()
+                    .iter()
+                    .map(|t| (t.weight_big, t.weight_little, t.replicable)),
+            );
         }
-        &sweep.table
+        table.tasks = key;
+        fill
     }
 }
 
@@ -234,14 +260,10 @@ impl Scheduler for Herad {
         "HeRAD"
     }
 
-    /// Consults the scratch's replay memo first: when the instance is
-    /// bit-identical to the previous solve (same weights, replicability,
-    /// pool and pruning), the stored solution is replayed verbatim —
-    /// the DP is deterministic, so the replay *is* the recomputation.
-    /// Otherwise the sweep memo is consulted: a table already covering
-    /// this chain + pool answers by extraction alone, a same-chain table
-    /// grows by the pool delta, and only a genuinely new chain (or
-    /// pruning) pays for a full rebuild — which then refreshes both memos.
+    /// Brings the scratch's [`ChainTable`] to cover this chain and pool
+    /// ([`Herad::fill`]) and extracts from it: a repeated or covered pool
+    /// is pure extraction, a larger pool grows the table by the pool
+    /// delta, and only a new chain (or pruning) pays for a rebuild.
     fn schedule_into(
         &self,
         chain: &TaskChain,
@@ -249,40 +271,12 @@ impl Scheduler for Herad {
         scratch: &mut SchedScratch,
         out: &mut Solution,
     ) -> bool {
-        out.stages_mut().clear();
         if resources.is_exhausted() {
+            out.stages_mut().clear();
             return false;
         }
-        if let Some(memo) = &scratch.herad_memo {
-            if memo.matches(self.pruning, chain, resources) {
-                out.stages_mut().extend_from_slice(&memo.stages);
-                return memo.feasible;
-            }
-        }
-        let feasible = self.sweep_table(chain, resources, scratch).extract_into(
-            chain,
-            resources,
-            out.stages_mut(),
-        );
-        if feasible {
-            out.merge_replicable_stages_in_place(chain);
-        }
-        let memo = scratch
-            .herad_memo
-            .get_or_insert_with(crate::sched::scratch::HeradMemo::empty);
-        memo.pruning = self.pruning;
-        memo.resources = resources;
-        memo.feasible = feasible;
-        memo.tasks.clear();
-        memo.tasks.extend(
-            chain
-                .tasks()
-                .iter()
-                .map(|t| (t.weight_big, t.weight_little, t.replicable)),
-        );
-        memo.stages.clear();
-        memo.stages.extend_from_slice(out.stages());
-        feasible
+        self.fill(&mut scratch.herad_table, chain, resources);
+        scratch.herad_table.extract(chain, resources, out)
     }
 }
 
@@ -340,10 +334,9 @@ impl Ord for Period {
 
 /// One cell of the solution matrix `S[j][b][l]` (Algorithm 7, lines 1–7):
 /// 16 bytes of period, four `u32` core counters, the start index and the
-/// core type — 40 bytes with padding. `pub(crate)` so [`SchedScratch`] can
-/// park the table between runs.
+/// core type — 40 bytes with padding.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct Cell {
+struct Cell {
     /// `S_Pbest`: minimal maximum period.
     pbest: Period,
     /// `S_prev`: big and little cores available to the previous stages.
@@ -607,7 +600,7 @@ unsafe impl Sync for SharedCells {}
 /// run are never observed — reads stay inside the logical region by
 /// construction.
 #[derive(Debug, Default)]
-pub(crate) struct Table {
+struct Table {
     cells: Vec<Cell>,
     n: usize,
     b: usize,
@@ -615,16 +608,16 @@ pub(crate) struct Table {
 }
 
 impl Table {
-    pub(crate) fn dim_b(&self) -> usize {
+    fn dim_b(&self) -> usize {
         self.b
     }
 
-    pub(crate) fn dim_l(&self) -> usize {
+    fn dim_l(&self) -> usize {
         self.l
     }
 
     /// Whether the solved region contains the `(n, b, l)` sub-table.
-    pub(crate) fn covers(&self, n: usize, b: usize, l: usize) -> bool {
+    fn covers(&self, n: usize, b: usize, l: usize) -> bool {
         self.n == n && b <= self.b && l <= self.l
     }
 
@@ -634,7 +627,7 @@ impl Table {
     }
 
     /// `P*(n, B, L)` for a covered pool.
-    pub(crate) fn period_at(&self, resources: Resources) -> Ratio {
+    fn period_at(&self, resources: Resources) -> Ratio {
         let b = usize::try_from(resources.big).expect("core count fits usize");
         let l = usize::try_from(resources.little).expect("core count fits usize");
         self.get(self.n, b, l).pbest.to_ratio()
@@ -644,14 +637,7 @@ impl Table {
     /// or with the layer-parallel kernel when `workers > 1` (clamped to the
     /// `b + 1` rows of a layer — fewer rows than workers just idles the
     /// surplus at the barrier, so they are not spawned at all).
-    pub(crate) fn rebuild(
-        &mut self,
-        chain: &TaskChain,
-        b: usize,
-        l: usize,
-        pruning: Pruning,
-        workers: usize,
-    ) {
+    fn rebuild(&mut self, chain: &TaskChain, b: usize, l: usize, pruning: Pruning, workers: usize) {
         let n = chain.len();
         let len = n * (b + 1) * (l + 1);
         if self.cells.len() < len {
@@ -771,7 +757,7 @@ impl Table {
     /// the same indices, and the delta traversal (layers ascending, rows
     /// ascending, columns ascending within the new region) only reads
     /// final cells.
-    pub(crate) fn grow(&mut self, chain: &TaskChain, b: usize, l: usize, pruning: Pruning) {
+    fn grow(&mut self, chain: &TaskChain, b: usize, l: usize, pruning: Pruning) {
         let (b0, l0) = (self.b, self.l);
         debug_assert!(b >= b0 && l >= l0, "grow never shrinks");
         debug_assert_eq!(self.n, chain.len(), "grow keeps the chain");
@@ -814,7 +800,7 @@ impl Table {
     /// caller's buffer. The pool may be any the table covers — the walk
     /// only visits cells with indices `≤ (B, L)`. Returns `false` (buffer
     /// left empty) when the instance is infeasible.
-    pub(crate) fn extract_into(
+    fn extract_into(
         &self,
         chain: &TaskChain,
         resources: Resources,
@@ -914,50 +900,50 @@ fn fnv1a(h: &mut u64, bytes: &[u8]) {
     }
 }
 
-/// A solved HeRAD DP table detached from any scratch, keyed by the chain
-/// alone: the service's solve-once cache tier stores one per distinct
-/// `(weights, replicability)` vector and answers every covered sub-pool by
-/// pure extraction (see the module docs on pool independence). Grows in
-/// place via the pool-delta driver when a larger pool arrives, and
-/// round-trips through canonical JSON ([`ChainTable::to_json`] /
+/// How [`Herad::fill`] brought a [`ChainTable`] to cover a chain and pool.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TableFill {
+    /// The table already covered the pool: pure extraction, no DP work.
+    Extracted,
+    /// The table grew by the pool delta first.
+    Grown,
+    /// The table held another chain or pruning, or none at all: a full
+    /// rebuild at exactly the requested pool.
+    Cold,
+}
+
+/// A solved HeRAD DP table keyed by the chain and the pruning that
+/// solved it. [`Herad::fill`] is the one way to fill it: a covered
+/// sub-pool answers by pure extraction (see the module docs on pool
+/// independence), a larger pool grows the table in place by the pool
+/// delta, and a new chain rebuilds it in its own buffers. Every
+/// [`SchedScratch`] holds one for HeRAD's warm solves; the service's
+/// solve-once tier keeps one per distinct `(weights, replicability)`
+/// vector, and a running pipeline one for its re-solves. Tables round-trip
+/// through canonical JSON ([`ChainTable::to_json`] /
 /// [`ChainTable::from_json`]) for snapshot persistence.
 ///
-/// Always solved with [`Pruning::Aggressive`] — the same policy
-/// [`Herad::new`] uses — so extraction is bit-identical to the service's
-/// cold HeRAD path.
-#[derive(Debug)]
+/// The default table is empty and matches no chain.
+#[derive(Debug, Default)]
 pub struct ChainTable {
     /// The chain key: `(weight_big, weight_little, replicable)` per task.
+    /// Empty while a fill mutates the cells, so an interrupted fill
+    /// leaves a table that matches no chain (a chain is never empty).
     tasks: Vec<(u64, u64, bool)>,
+    /// The rest of the key: the pruning the cells were solved with.
+    pruning: Pruning,
     table: Table,
 }
 
 impl ChainTable {
-    /// Solves the chain cold at exactly `resources`, using the same kernel
-    /// selection as [`Herad::new`] (sequential below the cell threshold,
+    /// Solves the chain cold at exactly `resources` with [`Herad::new`]
+    /// (aggressive pruning; sequential below the cell threshold,
     /// layer-parallel above it).
     #[must_use]
     pub fn solve(chain: &TaskChain, resources: Resources) -> ChainTable {
-        let b = usize::try_from(resources.big).expect("core count fits usize");
-        let l = usize::try_from(resources.little).expect("core count fits usize");
-        let herad = Herad::new();
-        let cells = chain.len() * (b + 1) * (l + 1);
-        let mut table = Table::default();
-        table.rebuild(
-            chain,
-            b,
-            l,
-            Pruning::Aggressive,
-            herad.kernel_workers(cells),
-        );
-        ChainTable {
-            tasks: chain
-                .tasks()
-                .iter()
-                .map(|t| (t.weight_big, t.weight_little, t.replicable))
-                .collect(),
-            table,
-        }
+        let mut table = ChainTable::default();
+        Herad::new().fill(&mut table, chain, resources);
+        table
     }
 
     /// Whether this table was solved for exactly this chain (weights and
@@ -984,23 +970,19 @@ impl ChainTable {
     }
 
     /// Extends the solved region to cover `resources` via the pool-delta
-    /// driver (dimensions only grow, never shrink). The caller must pass
-    /// the same chain the table was solved for.
+    /// driver (dimensions only grow, never shrink), under the table's own
+    /// pruning. The caller must pass the same chain the table was solved
+    /// for.
     pub fn grow_to(&mut self, chain: &TaskChain, resources: Resources) {
         debug_assert!(self.matches(chain), "grow_to keeps the chain");
-        let b = usize::try_from(resources.big).expect("core count fits usize");
-        let l = usize::try_from(resources.little).expect("core count fits usize");
-        let grown_b = b.max(self.table.dim_b());
-        let grown_l = l.max(self.table.dim_l());
-        self.table
-            .grow(chain, grown_b, grown_l, Pruning::Aggressive);
+        Herad::with_pruning(self.pruning).fill(self, chain, resources);
     }
 
     /// Extracts the schedule for any covered sub-pool into `out`,
-    /// bit-identical to a fresh [`Herad::new`] solve at that pool
-    /// (extraction walk + replicable-stage merge). Returns `false` with an
-    /// empty solution when the pool is exhausted or the instance is
-    /// infeasible on it.
+    /// bit-identical to a fresh solve at that pool with the table's
+    /// pruning (extraction walk + replicable-stage merge). Returns `false`
+    /// with an empty solution when the pool is exhausted or the instance
+    /// is infeasible on it.
     pub fn extract(&self, chain: &TaskChain, resources: Resources, out: &mut Solution) -> bool {
         debug_assert!(self.matches(chain), "extract keeps the chain");
         debug_assert!(self.covers(resources), "extract needs a covered pool");
@@ -1148,8 +1130,9 @@ impl ChainTable {
     }
 
     /// Serializes the full solved region as a canonical-JSON document with
-    /// a versioned header and a content checksum. Floats never appear: the
-    /// exact rationals travel as `num/den` strings.
+    /// a versioned header naming the table's pruning and a content
+    /// checksum. Floats never appear: the exact rationals travel as
+    /// `num/den` strings.
     #[must_use]
     pub fn to_json(&self) -> crate::json::Json {
         use crate::json::Json;
@@ -1172,7 +1155,12 @@ impl ChainTable {
         let mut obj = std::collections::BTreeMap::new();
         obj.insert("kind".to_string(), Json::Str(CHAIN_TABLE_KIND.to_string()));
         obj.insert("version".to_string(), Json::Int(CHAIN_TABLE_VERSION));
-        obj.insert("pruning".to_string(), Json::Str("aggressive".to_string()));
+        let pruning = match self.pruning {
+            Pruning::None => "none",
+            Pruning::Lossless => "lossless",
+            Pruning::Aggressive => "aggressive",
+        };
+        obj.insert("pruning".to_string(), Json::Str(pruning.to_string()));
         obj.insert("dim_b".to_string(), Json::Int(b as u64));
         obj.insert("dim_l".to_string(), Json::Int(l as u64));
         obj.insert(
@@ -1188,9 +1176,11 @@ impl ChainTable {
     }
 
     /// Decodes a document produced by [`ChainTable::to_json`], validating
-    /// the header, the payload shape and the content checksum. Any
-    /// inconsistency is a typed [`ChainTableError`]; a decoded table is
-    /// fully usable (extraction, growth, re-serialization).
+    /// the header (only `aggressive` tables load), the payload shape, the
+    /// content checksum and every cell's back-pointers (see
+    /// `check_back_pointers`). Any inconsistency is a typed
+    /// [`ChainTableError`]; a decoded table is fully usable (extraction,
+    /// growth, re-serialization).
     pub fn from_json(doc: &crate::json::Json) -> Result<ChainTable, ChainTableError> {
         let malformed = |message: &str| ChainTableError::Malformed {
             message: message.to_string(),
@@ -1301,10 +1291,57 @@ impl ChainTable {
             .iter()
             .map(|c| Self::decode_cell(c))
             .collect::<Result<_, _>>()?;
+        let table = Table { cells, n, b, l };
+        Self::check_back_pointers(&table).map_err(|message| malformed(&message))?;
         Ok(ChainTable {
             tasks,
-            table: Table { cells, n, b, l },
+            pruning: Pruning::Aggressive,
+            table,
         })
+    }
+
+    /// Checks that extraction from any covered pool stays inside the
+    /// table and ends: every finite cell `(j, rb, rl)` starts its last
+    /// stage in an earlier layer (`start < j`) at no more cores
+    /// (`prev_b ≤ rb`, `prev_l ≤ rl`), its prefix cell is finite with no
+    /// larger core usage, and its last stage has at least one core. The
+    /// DP writes no other cells; the checksum cannot catch a forged one,
+    /// because anyone can recompute it.
+    fn check_back_pointers(table: &Table) -> Result<(), String> {
+        for j in 1..=table.n {
+            for rb in 0..=table.b {
+                for rl in 0..=table.l {
+                    let cell = table.get(j, rb, rl);
+                    if cell.pbest.is_infinite() {
+                        continue;
+                    }
+                    let (start, pb, pl) = (
+                        cell.start as usize,
+                        cell.prev_b as usize,
+                        cell.prev_l as usize,
+                    );
+                    if start >= j || pb > rb || pl > rl {
+                        return Err(format!("cell ({j}, {rb}, {rl}) points past its prefix"));
+                    }
+                    // `start == 0` reads the virtual zero row: no cores.
+                    let prefix = table.get(start, pb, pl);
+                    if prefix.pbest.is_infinite()
+                        || prefix.acc_b > cell.acc_b
+                        || prefix.acc_l > cell.acc_l
+                    {
+                        return Err(format!("cell ({j}, {rb}, {rl}) has an inconsistent prefix"));
+                    }
+                    let cores = match cell.v {
+                        CoreType::Big => cell.acc_b - prefix.acc_b,
+                        CoreType::Little => cell.acc_l - prefix.acc_l,
+                    };
+                    if cores == 0 {
+                        return Err(format!("cell ({j}, {rb}, {rl}) has a stage with no cores"));
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 
     /// [`ChainTable::to_json`] rendered compactly.
@@ -1688,20 +1725,76 @@ mod tests {
         for (b, l) in [(1, 1), (4, 0), (0, 4), (2, 3), (4, 4)] {
             assert!(herad.schedule_into(&c, Resources::new(b, l), &mut scratch, &mut out));
             assert_eq!(
-                scratch.herad_sweep.table.dim_b(),
+                scratch.herad_table.table.dim_b(),
                 4,
                 "table shrank at ({b},{l})"
             );
             assert_eq!(
-                scratch.herad_sweep.table.dim_l(),
+                scratch.herad_table.table.dim_l(),
                 4,
                 "table shrank at ({b},{l})"
             );
         }
         // A pool outside the table grows it monotonically (never shrinks).
         assert!(herad.schedule_into(&c, Resources::new(6, 2), &mut scratch, &mut out));
-        assert_eq!(scratch.herad_sweep.table.dim_b(), 6);
-        assert_eq!(scratch.herad_sweep.table.dim_l(), 4);
+        assert_eq!(scratch.herad_table.table.dim_b(), 6);
+        assert_eq!(scratch.herad_table.table.dim_l(), 4);
+    }
+
+    #[test]
+    fn fill_keys_the_table_by_chain_and_pruning_and_unwinds_unkeyed() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let c = chain();
+        let herad = Herad::new();
+        let mut table = ChainTable::default();
+        assert_eq!(
+            herad.fill(&mut table, &c, Resources::new(2, 2)),
+            TableFill::Cold
+        );
+        assert_eq!(
+            herad.fill(&mut table, &c, Resources::new(1, 2)),
+            TableFill::Extracted
+        );
+        assert_eq!(
+            herad.fill(&mut table, &c, Resources::new(3, 1)),
+            TableFill::Grown
+        );
+        assert_eq!(table.dims(), (3, 2));
+        // Another pruning is another key, and the document names it; only
+        // aggressive tables load.
+        let lossless = Herad::with_pruning(Pruning::Lossless);
+        assert_eq!(
+            lossless.fill(&mut table, &c, Resources::new(2, 2)),
+            TableFill::Cold
+        );
+        assert!(table.render().contains("\"pruning\":\"lossless\""));
+        assert!(matches!(
+            ChainTable::parse(&table.render()),
+            Err(ChainTableError::Version { .. })
+        ));
+        assert_eq!(
+            herad.fill(&mut table, &c, Resources::new(2, 2)),
+            TableFill::Cold
+        );
+        // A panic before an extraction leaves the table keyed; one inside
+        // a grow leaves it matching no chain, so the next fill rebuilds.
+        let fill_panicking = |table: &mut ChainTable, r: Resources| {
+            catch_unwind(AssertUnwindSafe(|| {
+                herad.fill_with(table, &c, r, |_| panic!("fault before the fill acts"))
+            }))
+        };
+        assert!(fill_panicking(&mut table, Resources::new(1, 1)).is_err());
+        assert!(table.matches(&c));
+        assert!(fill_panicking(&mut table, Resources::new(4, 4)).is_err());
+        assert!(!table.matches(&c));
+        assert_eq!(
+            herad.fill(&mut table, &c, Resources::new(4, 4)),
+            TableFill::Cold
+        );
+        let mut out = Solution::empty();
+        let r = Resources::new(4, 3);
+        let warm = table.extract(&c, r, &mut out).then(|| out.clone());
+        assert_eq!(warm, herad.schedule(&c, r));
     }
 
     #[test]
@@ -1790,6 +1883,70 @@ mod tests {
         // Checksum tampering is equally fatal.
         let fake = text.replace("\"checksum\":", "\"checksum\":1");
         assert!(ChainTable::parse(&fake).is_err());
+    }
+
+    /// `text` with fields of its final cell replaced (indices into
+    /// `pbest,prev_b,prev_l,acc_b,acc_l,v,start`) under a recomputed
+    /// checksum: a forgery that the checksum alone lets through.
+    fn forge_final_cell(text: &str, edits: &[(usize, &str)]) -> crate::json::Json {
+        use crate::json::Json;
+        let doc = Json::parse(text).unwrap();
+        let mut obj = doc.as_obj().unwrap().clone();
+        let strings = |key: &str| -> Vec<String> {
+            let items = obj[key].as_arr().unwrap().iter();
+            items.map(|x| x.as_str().unwrap().to_string()).collect()
+        };
+        let tasks = strings("tasks");
+        let mut cells = strings("cells");
+        let last = cells.last_mut().unwrap();
+        let mut fields: Vec<&str> = last.split(',').collect();
+        for &(i, value) in edits {
+            fields[i] = value;
+        }
+        *last = fields.join(",");
+        let dim = |key: &str| obj[key].as_int().unwrap() as usize;
+        let checksum = ChainTable::checksum(&tasks, dim("dim_b"), dim("dim_l"), &cells);
+        obj.insert("checksum".to_string(), Json::Int(checksum));
+        obj.insert(
+            "cells".to_string(),
+            Json::Arr(cells.into_iter().map(Json::Str).collect()),
+        );
+        Json::Obj(obj)
+    }
+
+    #[test]
+    fn forged_back_pointers_are_malformed() {
+        let c = TaskChain::new(vec![
+            Task::new(3, 6, false),
+            Task::new(2, 4, true),
+            Task::new(4, 8, true),
+        ]);
+        let text = ChainTable::solve(&c, Resources::new(2, 2)).render();
+        let forgeries: [(&[(usize, &str)], &str); 5] = [
+            // A stage starting at its own layer: extraction never ends.
+            (&[(6, "3")], "points past"),
+            // Back-pointers past the pool: extraction reads out of bounds.
+            (&[(1, "40")], "points past"),
+            (&[(2, "40")], "points past"),
+            // A prefix, (1, 1, 1), using more cores than the whole: the
+            // stage's core count underflows.
+            (
+                &[(1, "1"), (2, "1"), (3, "0"), (4, "0"), (6, "1")],
+                "inconsistent prefix",
+            ),
+            // A single stage with no cores.
+            (&[(3, "0"), (4, "0"), (6, "0")], "no cores"),
+        ];
+        for (edits, why) in forgeries {
+            match ChainTable::from_json(&forge_final_cell(&text, edits)) {
+                Err(ChainTableError::Malformed { message }) => {
+                    assert!(message.contains(why), "{edits:?}: {message}");
+                }
+                other => panic!("{edits:?}: expected Malformed, got {other:?}"),
+            }
+        }
+        // The same document with no edit still loads.
+        assert!(ChainTable::from_json(&forge_final_cell(&text, &[])).is_ok());
     }
 
     #[test]

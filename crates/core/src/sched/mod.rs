@@ -27,7 +27,7 @@ pub use energy::{
     pareto_front, EnergyDp, EnergyFertac, EnergyScheduler, EnergyTwocatac, ParetoPoint,
 };
 pub use fertac::Fertac;
-pub use herad::{ChainTable, ChainTableError, Herad, Pruning};
+pub use herad::{ChainTable, ChainTableError, Herad, Pruning, TableFill};
 pub use otac::Otac;
 pub use scratch::SchedScratch;
 pub use twocatac::Twocatac;

@@ -2,140 +2,41 @@
 //! allocation-free.
 //!
 //! Every strategy's hot path ([`Scheduler::schedule_into`]) threads a
-//! [`SchedScratch`] through its internals instead of allocating:
+//! [`SchedScratch`] through its internals instead of allocating. The
+//! scratch holds two things:
 //!
-//! * HeRAD parks its `n·(B+1)·(L+1)` DP solution table here as a
-//!   *sweep memo* ([`HeradSweep`]): the table stays keyed to the chain and
-//!   pruning that produced it, so a later solve of the same chain on a
-//!   covered pool is pure extraction, a larger pool grows the table by
-//!   only the new rows/columns (cell values are pool-independent — see
-//!   `herad`'s module docs for the sub-table-growth invariant), and only
-//!   a different chain pays for a rebuild. The backing vector only grows,
-//!   never refilling cells that the recurrence overwrites anyway (see
-//!   `herad::Table` for the staleness argument);
-//! * the `Schedule` binary search rents its candidate stage buffer from
-//!   the pool instead of building a fresh `Solution` per probe;
-//! * 2CATAC's two-choice recursion rents one stage buffer per candidate
-//!   per node and returns them on unwind, so the pool high-water mark is
-//!   `O(n)` and steady-state recursion allocates nothing.
+//! * HeRAD's [`ChainTable`]: the `n·(B+1)·(L+1)` DP table, keyed to the
+//!   chain and pruning that produced it. [`Herad::fill`] brings it to
+//!   each request: a solve of the same chain on a covered pool is pure
+//!   extraction, a larger pool grows the table by only the new
+//!   rows/columns (cell values are pool-independent — see `herad`'s
+//!   module docs for the sub-table-growth invariant), and only a
+//!   different chain pays for a rebuild. A rebuild reuses the table's
+//!   cell and key buffers, which only grow, and never refills cells that
+//!   the recurrence overwrites anyway;
+//! * a free-list of stage buffers: the `Schedule` binary search rents its
+//!   candidate buffer from it instead of building a fresh `Solution` per
+//!   probe, and 2CATAC's two-choice recursion rents one buffer per
+//!   candidate per node and returns them on unwind, so the pool
+//!   high-water mark is `O(n)` and steady-state recursion allocates
+//!   nothing.
 //!
-//! A scratch is reusable memory plus one *replay memo*: HeRAD remembers
-//! the last instance it solved (weights, replicability, pool, pruning)
-//! and replays the stored solution verbatim when the very next solve is
-//! the identical instance — the steady state of service resubmissions
-//! and portfolio re-solves. The memo never changes observable behaviour:
-//! a hit replays exactly what recomputation would produce (the DP is
-//! deterministic), a near-miss (any weight, flag, pool or pruning
-//! difference) recomputes. Scratches may be shared freely across
-//! strategies and across instances of *different* shapes (smaller or
-//! larger `n`, `B`, `L`), and always yield bit-identical solutions to
-//! the allocating paths — the conformance suite pins exactly that.
+//! Scratches may be shared freely across strategies and across instances
+//! of *different* shapes (smaller or larger `n`, `B`, `L`), and always
+//! yield bit-identical solutions to the allocating paths — the
+//! conformance suite pins exactly that.
 //!
 //! [`Scheduler::schedule_into`]: crate::sched::Scheduler::schedule_into
+//! [`Herad::fill`]: crate::sched::Herad::fill
 
-use crate::chain::TaskChain;
-use crate::resources::Resources;
-use crate::sched::herad::{Pruning, Table};
+use crate::sched::ChainTable;
 use crate::solution::Stage;
-
-/// HeRAD's last-solve replay memo. Task names are deliberately excluded
-/// from the key: scheduling depends only on weights and replicability,
-/// and storing `(u64, u64, bool)` projections keeps memo updates
-/// allocation-free on the steady state (no `String` clones).
-#[derive(Debug)]
-pub(crate) struct HeradMemo {
-    pub(crate) pruning: Pruning,
-    pub(crate) resources: Resources,
-    pub(crate) tasks: Vec<(u64, u64, bool)>,
-    pub(crate) stages: Vec<Stage>,
-    pub(crate) feasible: bool,
-}
-
-impl HeradMemo {
-    pub(crate) fn empty() -> Self {
-        HeradMemo {
-            pruning: Pruning::Aggressive,
-            resources: Resources { big: 0, little: 0 },
-            tasks: Vec::new(),
-            stages: Vec::new(),
-            feasible: false,
-        }
-    }
-
-    /// Whether the memo holds the solve of exactly this instance.
-    pub(crate) fn matches(
-        &self,
-        pruning: Pruning,
-        chain: &TaskChain,
-        resources: Resources,
-    ) -> bool {
-        self.pruning == pruning
-            && self.resources == resources
-            && self.tasks.len() == chain.len()
-            && self
-                .tasks
-                .iter()
-                .zip(chain.tasks())
-                .all(|(&(wb, wl, rep), t)| {
-                    wb == t.weight_big && wl == t.weight_little && rep == t.replicable
-                })
-    }
-}
-
-/// HeRAD's sweep memo: the solved DP table together with the key (chain
-/// projection + pruning) it was solved for. The pool is *not* part of the
-/// key — the table's own dimensions are, and any covered sub-pool extracts
-/// from it directly (pool-delta warm starts across `(b, ℓ)` sweeps).
-/// `valid` is dropped while the table is mid-mutation so a panicking solve
-/// can never leave a half-written table behind a matching key.
-#[derive(Debug, Default)]
-pub(crate) struct HeradSweep {
-    pub(crate) pruning: Pruning,
-    pub(crate) tasks: Vec<(u64, u64, bool)>,
-    pub(crate) valid: bool,
-    pub(crate) table: Table,
-}
-
-impl HeradSweep {
-    /// Whether the parked table was solved for this chain + pruning (at
-    /// any dimensions — callers check coverage separately).
-    pub(crate) fn matches(&self, pruning: Pruning, chain: &TaskChain) -> bool {
-        self.valid
-            && self.pruning == pruning
-            && self.tasks.len() == chain.len()
-            && self
-                .tasks
-                .iter()
-                .zip(chain.tasks())
-                .all(|(&(wb, wl, rep), t)| {
-                    wb == t.weight_big && wl == t.weight_little && rep == t.replicable
-                })
-    }
-
-    /// Re-keys the memo to a freshly solved chain (reuses the projection
-    /// buffer's capacity; allocation-free once warmed past the largest
-    /// chain).
-    pub(crate) fn rekey(&mut self, pruning: Pruning, chain: &TaskChain) {
-        self.pruning = pruning;
-        self.tasks.clear();
-        self.tasks.extend(
-            chain
-                .tasks()
-                .iter()
-                .map(|t| (t.weight_big, t.weight_little, t.replicable)),
-        );
-        self.valid = true;
-    }
-}
 
 /// Reusable buffers for the scheduling hot paths. See the module docs.
 #[derive(Debug, Default)]
 pub struct SchedScratch {
-    /// HeRAD's keyed DP table (grow-only; stale cells are provably
-    /// overwritten before any read). See [`HeradSweep`].
-    pub(crate) herad_sweep: HeradSweep,
-    /// HeRAD's last-solve replay memo (see [`HeradMemo`]).
-    pub(crate) herad_memo: Option<HeradMemo>,
+    /// HeRAD's keyed DP table, filled by [`crate::sched::Herad::fill`].
+    pub(crate) herad_table: ChainTable,
     /// Free-list of stage buffers for the binary search and the greedy
     /// recursions.
     stage_pool: Vec<Vec<Stage>>,
@@ -192,8 +93,8 @@ mod tests {
     #[test]
     fn fresh_sweep_memo_matches_nothing() {
         use crate::chain::{Task, TaskChain};
-        let sweep = HeradSweep::default();
+        let table = ChainTable::default();
         let c = TaskChain::new(vec![Task::new(1, 1, false)]);
-        assert!(!sweep.matches(Pruning::Aggressive, &c));
+        assert!(!table.matches(&c));
     }
 }

@@ -3,12 +3,11 @@
 use crate::chain::TaskChain;
 use crate::ratio::Ratio;
 use crate::resources::{CoreType, Resources};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One pipeline stage: a contiguous interval of tasks mapped to `cores`
 /// cores of one type.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Stage {
     /// 0-based index of the first task of the stage.
     pub start: usize,
@@ -51,7 +50,7 @@ impl Stage {
 /// The `Display` output keeps the exact phrasing of the former
 /// `Result<(), String>` API; [`ValidationError::code`] gives a stable
 /// machine-readable identifier for service error mapping.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ValidationError {
     /// The solution has no stages at all.
     Empty,
@@ -192,7 +191,7 @@ pub fn stages_are_valid(
 /// Invariants (checked by [`Solution::validate`]): stages are contiguous,
 /// cover `0..n`, every stage has at least one core, and stages with more
 /// than one core are replicable.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Solution {
     stages: Vec<Stage>,
 }

@@ -1,11 +1,10 @@
 //! Minimal complex arithmetic for the signal-processing blocks (avoids an
 //! extra dependency; only the operations the chain needs).
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Mul, Neg, Sub};
 
 /// A complex sample, `f32` parts (what SDR front-ends produce).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct C32 {
     /// Real (in-phase) part.
     pub re: f32,

@@ -16,10 +16,8 @@
 //! (K_bch = 14232 info bits) because those experiments use the paper's
 //! latency profile, not the reduced chain.
 
-use serde::{Deserialize, Serialize};
-
 /// Sizes of one reduced-scale frame at each point of the chain.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FrameParams {
     /// Information bits per frame (BBFRAME payload) — BCH message length.
     pub k_info: usize,

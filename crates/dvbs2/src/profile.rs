@@ -8,13 +8,12 @@
 
 use crate::params::PAPER_INFO_BITS_PER_FRAME;
 use amp_core::{Resources, Task, TaskChain};
-use serde::{Deserialize, Serialize};
 
 /// Microseconds per profile weight unit (weights are 0.1 µs each).
 pub const WEIGHT_UNIT_US: f64 = 0.1;
 
 /// The two platforms of the paper's real-world SDR experiment.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Platform {
     /// Apple Mac Studio, M1 Ultra: 16 P-cores (big) + 4 E-cores (little),
     /// interframe level 4.
@@ -205,7 +204,7 @@ pub fn profiled_chain(platform: Platform) -> TaskChain {
 }
 
 /// One Table II configuration: a platform and a core budget.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PlatformConfig {
     /// The platform whose profile to schedule against.
     pub platform: Platform,

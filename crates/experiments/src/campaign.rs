@@ -7,12 +7,11 @@ use amp_core::json::Json;
 use amp_core::sched::{paper_strategies, schedule_many_with, SchedScratch};
 use amp_core::Resources;
 use amp_workload::SyntheticConfig;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Campaign parameters (defaults mirror the paper: 1000 chains of 20
 /// tasks).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CampaignConfig {
     /// Chains per (resources, SR) combination.
     pub chains: usize,
@@ -38,7 +37,7 @@ impl CampaignConfig {
 }
 
 /// Average core usage of a strategy across a batch.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct CoreUsage {
     /// Mean big cores used.
     pub big: f64,
@@ -47,7 +46,7 @@ pub struct CoreUsage {
 }
 
 /// Per-strategy campaign outcome.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct StrategyStats {
     /// Strategy display name.
     pub name: String,
@@ -80,7 +79,7 @@ impl StrategyStats {
 
 /// Outcome of one (R, SR) sweep: stats per strategy, in
 /// [`paper_strategies`] order (HeRAD first).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SweepOutcome {
     /// The configuration that produced this outcome.
     pub config: CampaignConfig,

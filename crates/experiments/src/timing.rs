@@ -3,11 +3,10 @@
 use amp_core::sched::{Fertac, Herad, Otac, Scheduler, Twocatac};
 use amp_core::Resources;
 use amp_workload::SyntheticConfig;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Timing sweep parameters (paper: 50 chains per point).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct TimingConfig {
     /// Chains averaged per point.
     pub chains: usize,
@@ -44,7 +43,7 @@ impl TimingConfig {
 }
 
 /// Mean execution time per strategy for one sweep point.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct StrategyTiming {
     /// Strategy name.
     pub name: String,

@@ -60,9 +60,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use amp_core::json::{Json, JsonError, Lexer, Token};
 use amp_core::CoreType;
-use amp_service::{
-    Objective, Policy, ScheduleOutcome, ScheduleRequest, ScheduleResponse, TaskSpec,
-};
+#[cfg(test)]
+use amp_service::ScheduleOutcome;
+use amp_service::{Objective, Policy, ScheduleRequest, ScheduleResponse, TaskSpec};
 
 /// A transport-level rejection, answered without entering the engine.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -443,6 +443,7 @@ pub fn render_request(request: &ScheduleRequest, tenant: &str) -> String {
 }
 
 /// Renders an outcome as the `ok` payload.
+#[cfg(test)]
 fn outcome_json(outcome: &ScheduleOutcome) -> Json {
     let mut fields = BTreeMap::new();
     fields.insert("strategy".to_string(), Json::Str(outcome.strategy.clone()));
@@ -486,7 +487,10 @@ fn outcome_json(outcome: &ScheduleOutcome) -> Json {
     Json::Obj(fields)
 }
 
-/// Renders an engine response as one frame (no trailing newline).
+/// Renders an engine response as one frame (no trailing newline) through
+/// the `Json` tree: the oracle that the streaming renderers are tested
+/// against.
+#[cfg(test)]
 #[must_use]
 pub fn render_response(response: &ScheduleResponse) -> String {
     match &response.result {
@@ -503,9 +507,9 @@ pub fn render_response(response: &ScheduleResponse) -> String {
 /// Appends one response frame *plus its newline* to `out` without
 /// building a `Json` tree — the pump's allocation-free framing path.
 ///
-/// Byte-identical to [`render_response`] + `'\n'` (canonical key order
-/// is hard-coded; the equality is pinned by tests and the conformance
-/// service checks). With a warm, pre-grown `out` this performs zero
+/// Byte-identical to the tree renderer's frame + `'\n'` (canonical key
+/// order is hard-coded; the equality is pinned by tests and the
+/// conformance service checks). With a warm, pre-grown `out` this performs zero
 /// heap allocations for success frames.
 pub fn render_response_line(response: &ScheduleResponse, out: &mut String) {
     match &response.result {
@@ -556,7 +560,7 @@ pub fn render_response_line(response: &ScheduleResponse, out: &mut String) {
 }
 
 /// Appends one error frame plus its newline to `out`; byte-identical to
-/// [`render_error`] + `'\n'` (canonical key order: err < id).
+/// the tree renderer's frame + `'\n'` (canonical key order: err < id).
 pub fn render_error_line(id: Option<u64>, code: &str, message: &str, out: &mut String) {
     out.push_str("{\"err\":{\"code\":");
     push_escaped(out, code);
@@ -691,8 +695,10 @@ pub fn scan_response(line: &str) -> Result<ScannedResponse, WireError> {
     })
 }
 
-/// Renders an error frame (no trailing newline). `id` is echoed when
-/// the offending frame carried one.
+/// Renders an error frame (no trailing newline) through the `Json` tree,
+/// the oracle for [`render_error_line`]. `id` is echoed when the
+/// offending frame carried one.
+#[cfg(test)]
 #[must_use]
 pub fn render_error(id: Option<u64>, code: &str, message: &str) -> String {
     let mut err = BTreeMap::new();

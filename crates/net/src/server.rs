@@ -141,13 +141,12 @@ struct ConnWriter {
 }
 
 impl ConnWriter {
-    /// Writes one frame (no trailing newline in `line`); the newline
-    /// rides in the same vectored write, so nothing is copied.
-    fn write_line(&mut self, line: &str) {
+    /// Writes one newline-terminated frame.
+    fn write_frame(&mut self, frame: &str) {
         if self.broken {
             return;
         }
-        if wire::write_frames(&mut self.stream, &[line.as_bytes(), b"\n"]).is_err() {
+        if wire::write_frames(&mut self.stream, &[frame]).is_err() {
             self.broken = true;
         }
     }
@@ -273,6 +272,13 @@ fn status_json(shared: &Shared) -> String {
     )
 }
 
+/// One newline-terminated error frame ([`proto::render_error_line`]).
+fn error_frame(id: Option<u64>, code: &str, message: &str) -> String {
+    let mut frame = String::new();
+    proto::render_error_line(id, code, message, &mut frame);
+    frame
+}
+
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     loop {
         let stream = match listener.accept() {
@@ -302,7 +308,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                     stream,
                     broken: false,
                 };
-                writer.write_line(&proto::render_error(
+                writer.write_frame(&error_frame(
                     None,
                     "TOO_MANY_CONNECTIONS",
                     &format!(
@@ -346,10 +352,10 @@ struct Conn<'a> {
 }
 
 impl Conn<'_> {
-    /// Writes a frame produced by the reader itself (rejections,
-    /// control responses).
-    fn write_direct(&self, line: &str) {
-        self.writer.lock().write_line(line);
+    /// Writes a newline-terminated frame produced by the reader itself
+    /// (rejections, control responses).
+    fn write_direct(&self, frame: &str) {
+        self.writer.lock().write_frame(frame);
         self.shared.net.frame_out(self.stripe);
     }
 
@@ -383,7 +389,7 @@ impl Conn<'_> {
                 ServiceError::ShuttingDown => self.shared.net.rejected_shutdown(),
                 _ => {}
             }
-            self.write_direct(&proto::render_error(
+            self.write_direct(&error_frame(
                 Some(request.id),
                 error.code(),
                 &error.to_string(),
@@ -399,7 +405,7 @@ impl Conn<'_> {
             Err(_) => {
                 self.shared.net.frame_in(self.stripe);
                 self.shared.net.parse_error();
-                self.write_direct(&proto::render_error(
+                self.write_direct(&error_frame(
                     None,
                     "PARSE_ERROR",
                     "frame is not valid UTF-8",
@@ -415,19 +421,19 @@ impl Conn<'_> {
         match proto::parse_request(text, self.shared.cfg.max_tasks) {
             Err((id, err)) => {
                 self.shared.net.parse_error();
-                self.write_direct(&proto::render_error(id, err.code, &err.message));
+                self.write_direct(&error_frame(id, err.code, &err.message));
             }
             Ok(WireRequest::Ping) => {
-                self.write_direct("{\"ok\":\"pong\",\"op\":\"ping\"}");
+                self.write_direct("{\"ok\":\"pong\",\"op\":\"ping\"}\n");
             }
             Ok(WireRequest::Status) => {
                 let status = status_json(self.shared);
-                self.write_direct(&format!("{{\"ok\":{status},\"op\":\"status\"}}"));
+                self.write_direct(&format!("{{\"ok\":{status},\"op\":\"status\"}}\n"));
             }
             Ok(WireRequest::Schedule { request, tenant }) => {
                 if !self.shared.quotas.admit(&tenant, Instant::now()) {
                     self.shared.net.rejected_quota();
-                    self.write_direct(&proto::render_error(
+                    self.write_direct(&error_frame(
                         Some(request.id),
                         "QUOTA_EXCEEDED",
                         &format!("tenant {tenant:?} is over its request quota"),
@@ -556,7 +562,7 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream, token: ConnToken) {
                 // frame arrived in one read or many must not change its
                 // answer.
                 shared.net.oversized_frame();
-                conn.write_direct(&proto::render_error(
+                conn.write_direct(&error_frame(
                     None,
                     "FRAME_TOO_LARGE",
                     &format!(
@@ -578,7 +584,7 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream, token: ConnToken) {
         }
         if !discarding && buf.len() > shared.cfg.max_line_bytes {
             shared.net.oversized_frame();
-            conn.write_direct(&proto::render_error(
+            conn.write_direct(&error_frame(
                 None,
                 "FRAME_TOO_LARGE",
                 &format!(

@@ -13,7 +13,7 @@ use crate::adaptor::OrderedRing;
 use crate::report::{ReconfigEvent, RunReport, StageRuntimeReport};
 use crate::vcore::VirtualMachine;
 use crate::work::TaskWork;
-use amp_core::sched::{schedule_diff, ChainTable, ScheduleDiff};
+use amp_core::sched::{schedule_diff, ChainTable, Herad, ScheduleDiff};
 use amp_core::{CoreType, Solution, Stage, TaskChain};
 use parking_lot::{Condvar, Mutex};
 use std::fmt;
@@ -330,25 +330,17 @@ pub struct ReconfigPlan {
 struct MigrateState {
     chain: TaskChain,
     solution: Solution,
-    table: Option<ChainTable>,
+    table: ChainTable,
 }
 
 impl MigrateState {
-    /// Re-solves for `resources`, incrementally: a covered pool is a pure
-    /// extraction, a larger pool grows the table in place, and only a
-    /// chain change pays a fresh cold solve.
+    /// Re-solves for `resources`, incrementally ([`Herad::fill`]): a
+    /// covered pool is a pure extraction, a larger pool grows the table in
+    /// place, and only a chain change pays a cold rebuild.
     fn solve(&mut self, resources: amp_core::Resources) -> Result<Solution, RuntimeError> {
-        let table = match &mut self.table {
-            Some(t) if t.matches(&self.chain) => {
-                if !t.covers(resources) {
-                    t.grow_to(&self.chain, resources);
-                }
-                t
-            }
-            slot => slot.insert(ChainTable::solve(&self.chain, resources)),
-        };
+        Herad::new().fill(&mut self.table, &self.chain, resources);
         let mut out = Solution::empty();
-        if table.extract(&self.chain, resources, &mut out) {
+        if self.table.extract(&self.chain, resources, &mut out) {
             Ok(out)
         } else {
             Err(RuntimeError::Infeasible)
@@ -460,9 +452,6 @@ impl<D: Send + 'static> RunningPipeline<D> {
                 if t.replicable != rep {
                     return Err(RuntimeError::ReplicabilityMismatch(i));
                 }
-            }
-            if !mig.table.as_ref().is_some_and(|t| t.matches(new_chain)) {
-                mig.table = None;
             }
             mig.chain = new_chain.clone();
         }
@@ -794,7 +783,7 @@ impl<D: Send + 'static> PipelineSpec<D> {
             migrate: Mutex::new(MigrateState {
                 chain: chain.clone(),
                 solution: solution.clone(),
-                table: None,
+                table: ChainTable::default(),
             }),
             events: Mutex::new(Vec::new()),
         })

@@ -1,11 +1,10 @@
 //! Measured results of a runtime execution.
 
 use amp_core::CoreType;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Per-stage runtime statistics.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct StageRuntimeReport {
     /// Stage index in the solution.
     pub stage: usize,
@@ -21,7 +20,7 @@ pub struct StageRuntimeReport {
 
 /// One live reconfiguration of a running pipeline: the migration from one
 /// stage decomposition to the next at an epoch frame boundary.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ReconfigEvent {
     /// The epoch the migration started (epochs count from 1 at launch, so
     /// the first migration begins epoch 2).
@@ -49,7 +48,7 @@ pub struct ReconfigEvent {
 }
 
 /// Outcome of a pipeline run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RunReport {
     /// Frames that reached the sink.
     pub frames: u64,

@@ -8,10 +8,9 @@
 //! type, in pipeline order.
 
 use amp_core::{CoreType, Resources, Solution};
-use serde::{Deserialize, Serialize};
 
 /// One virtual core.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct VirtualCore {
     /// Dense id within the machine (big cores first, then little).
     pub id: usize,
@@ -20,7 +19,7 @@ pub struct VirtualCore {
 }
 
 /// A fixed pool of virtual big and little cores.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct VirtualMachine {
     cores: Vec<VirtualCore>,
     resources: Resources,

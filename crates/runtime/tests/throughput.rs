@@ -1,15 +1,17 @@
 //! End-to-end: measured runtime throughput tracks the analytic period of
 //! the schedule.
 //!
-//! Wall-clock speedup from replication needs physical parallelism; on
-//! single-core hosts (like the reproduction container) those assertions are
-//! skipped — the semantics (ordering, completeness, back-pressure) are
-//! covered by the unit tests regardless. On a multicore host the full
-//! assertions run.
+//! Every scenario has two tests. The tier-1 test asserts what the run
+//! delivers (every frame), which holds on any host. Its `#[ignore]`d
+//! twin reruns the scenario and asserts the wall-clock figures, which
+//! host load moves, so the release step of `scripts/ci.sh` runs those
+//! with `-- --ignored`.
+//! Wall-clock speedup from replication needs physical parallelism; that
+//! check is skipped on hosts with fewer than three CPUs.
 
 use amp_core::sched::{Herad, Scheduler};
 use amp_core::{Resources, Task, TaskChain};
-use amp_runtime::{PipelineSpec, RunConfig, RuntimeTask, VirtualMachine, WeightedWork};
+use amp_runtime::{PipelineSpec, RunConfig, RunReport, RuntimeTask, VirtualMachine, WeightedWork};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Wall-clock measurements contend for CPU when the harness runs tests in
@@ -36,7 +38,7 @@ fn host_cpus() -> usize {
 
 /// Runs the HeRAD schedule of a 3-task chain on a 2B+2L machine for 400
 /// frames. Returns the chain, its schedule and the run's report.
-fn run_analytic_schedule() -> (TaskChain, amp_core::Solution, amp_runtime::RunReport) {
+fn run_analytic_schedule() -> (TaskChain, amp_core::Solution, RunReport) {
     // Weights in microseconds; bottleneck is the 800 µs replicable task.
     let chain = TaskChain::new(vec![
         Task::new(100, 250, false),
@@ -102,16 +104,9 @@ fn measured_fps_tracks_analytic_period() {
     );
 }
 
-#[test]
-fn replication_improves_measured_throughput() {
-    let _guard = serial();
-    if host_cpus() < 3 {
-        eprintln!(
-            "skipping: requires >= 3 physical cores, found {}",
-            host_cpus()
-        );
-        return;
-    }
+/// Runs one 600 µs replicable task for 200 frames on one and on three
+/// big cores of a 3B machine.
+fn run_replication() -> (RunReport, RunReport) {
     let chain = TaskChain::new(vec![Task::new(600, 1200, true)]);
     let machine = VirtualMachine::new(Resources::new(3, 0));
     let spec = spec_for(&chain);
@@ -126,6 +121,29 @@ fn replication_improves_measured_throughput() {
     let r3 = spec
         .run(&chain, &triple, &machine, &RunConfig::with_frames(200))
         .unwrap();
+    (r1, r3)
+}
+
+#[test]
+fn replication_improves_measured_throughput() {
+    let _guard = serial();
+    let (r1, r3) = run_replication();
+    assert_eq!((r1.frames, r3.frames), (200, 200));
+}
+
+/// The wall-clock half of the runs above.
+#[test]
+#[ignore = "wall-clock assertion; scripts/ci.sh runs it in release mode"]
+fn replication_timings_improve_measured_throughput() {
+    let _guard = serial();
+    if host_cpus() < 3 {
+        eprintln!(
+            "skipping: requires >= 3 physical cores, found {}",
+            host_cpus()
+        );
+        return;
+    }
+    let (r1, r3) = run_replication();
     assert!(
         r3.fps > r1.fps * 1.8,
         "3x replication gave {} vs {} fps",
@@ -134,10 +152,10 @@ fn replication_improves_measured_throughput() {
     );
 }
 
-#[test]
-fn little_cores_are_slower_than_big_cores() {
-    let _guard = serial();
-    // Needs no parallelism: both runs use a single worker.
+/// Runs one replicable task for 150 frames on a single big core, then on
+/// a single little core four times slower. Needs no parallelism: both
+/// runs use a single worker.
+fn run_big_then_little() -> (RunReport, RunReport) {
     let chain = TaskChain::new(vec![Task::new(500, 2000, true)]);
     let machine = VirtualMachine::new(Resources::new(1, 1));
     let spec = spec_for(&chain);
@@ -154,6 +172,22 @@ fn little_cores_are_slower_than_big_cores() {
     let rl = spec
         .run(&chain, &little, &machine, &RunConfig::with_frames(150))
         .unwrap();
+    (rb, rl)
+}
+
+#[test]
+fn little_cores_are_slower_than_big_cores() {
+    let _guard = serial();
+    let (rb, rl) = run_big_then_little();
+    assert_eq!((rb.frames, rl.frames), (150, 150));
+}
+
+/// The wall-clock half of the runs above.
+#[test]
+#[ignore = "wall-clock assertion; scripts/ci.sh runs it in release mode"]
+fn little_core_timings_are_slower_than_big_cores() {
+    let _guard = serial();
+    let (rb, rl) = run_big_then_little();
     assert!(
         rb.fps > rl.fps * 2.0,
         "big {} fps vs little {} fps",
@@ -162,20 +196,32 @@ fn little_cores_are_slower_than_big_cores() {
     );
 }
 
+/// Runs one sequential 1000 µs task for 200 frames on one worker.
+fn run_single_worker() -> RunReport {
+    let chain = TaskChain::new(vec![Task::new(1000, 2000, false)]);
+    let machine = VirtualMachine::new(Resources::new(1, 0));
+    let spec = spec_for(&chain);
+    let s = amp_core::Solution::new(vec![amp_core::Stage::new(0, 0, 1, amp_core::CoreType::Big)]);
+    spec.run(&chain, &s, &machine, &RunConfig::with_frames(200))
+        .unwrap()
+}
+
 #[test]
 fn sequential_single_worker_fps_matches_task_cost() {
+    let _guard = serial();
+    assert_eq!(run_single_worker().frames, 200);
+}
+
+/// The wall-clock half of the run above.
+#[test]
+#[ignore = "wall-clock assertion; scripts/ci.sh runs it in release mode"]
+fn sequential_single_worker_fps_timings_match_task_cost() {
     let _guard = serial();
     // One worker, 1000 µs per frame -> ~1000 fps. The process-wide spin
     // calibration can be skewed ~2x either way when other test binaries
     // contend for this host's single CPU, so only the order of magnitude
     // is asserted.
-    let chain = TaskChain::new(vec![Task::new(1000, 2000, false)]);
-    let machine = VirtualMachine::new(Resources::new(1, 0));
-    let spec = spec_for(&chain);
-    let s = amp_core::Solution::new(vec![amp_core::Stage::new(0, 0, 1, amp_core::CoreType::Big)]);
-    let r = spec
-        .run(&chain, &s, &machine, &RunConfig::with_frames(200))
-        .unwrap();
+    let r = run_single_worker();
     assert!(
         (250.0..=4000.0).contains(&r.fps),
         "expected ~1000 fps, measured {}",

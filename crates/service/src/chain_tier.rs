@@ -16,16 +16,17 @@
 //! the exact LRU like any computed one. Per-tier counters stay separate
 //! so dashboards can tell replay hits from extraction hits.
 //!
-//! ## Panic safety (the valid-flag pattern)
+//! ## Panic safety
 //!
-//! Every mutation window (growth, cold solve) drops the entry's `valid`
-//! flag first and restores it only after the table is consistent again —
-//! the same protocol `SchedScratch`'s sweep memo uses. A panic
-//! mid-mutation (injected through [`TierFaultHook`] in tests) leaves the
-//! entry poisoned, and the next request for that chain repairs it with a
-//! fresh cold solve. Extraction never mutates the table, so a panic
-//! mid-extraction needs no repair at all. The `parking_lot` mutexes do
-//! not poison, so a panicking worker releases its locks cleanly.
+//! Every serve brings the chain's table to the pool through
+//! [`Herad::fill`], the same fill path `SchedScratch` and the runtime use.
+//! A fill grows or rebuilds with the table's key cleared, so a panic
+//! mid-mutation (injected through [`TierFaultHook`] in tests) leaves a
+//! poisoned entry, a table that matches no chain, and the next request
+//! for that chain repairs it with a cold rebuild. Extraction never
+//! mutates the table, so a panic mid-extraction needs no repair at all.
+//! The `parking_lot` mutexes do not poison, so a panicking worker
+//! releases its locks cleanly.
 //!
 //! ## Snapshot persistence
 //!
@@ -43,7 +44,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use amp_core::json::Json;
-use amp_core::sched::{ChainTable, ChainTableError};
+use amp_core::sched::{ChainTable, ChainTableError, Herad};
 use amp_core::{Resources, Solution, TaskChain};
 use parking_lot::Mutex;
 
@@ -51,8 +52,9 @@ use crate::request::TaskSpec;
 
 /// Test-only fault-injection hook for the tier: called with a site label
 /// (`"extract"`, `"grow"`, `"cold"`, `"snapshot"`) right before the
-/// corresponding operation runs. A panicking hook exercises the
-/// valid-flag protocol; production configs leave it `None`.
+/// corresponding operation runs, inside the mutation window for `"grow"`
+/// and `"cold"`. A panicking hook exercises the poison-and-repair
+/// protocol; production configs leave it `None`.
 pub type TierFaultHook = Arc<dyn Fn(&'static str) + Send + Sync>;
 
 /// Header constants of the snapshot document. Bump the version on any
@@ -123,30 +125,24 @@ impl From<ChainTableError> for SnapshotError {
     }
 }
 
-/// How the tier answered one request.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TierServe {
-    /// The pool was already covered: pure extraction, no DP work.
-    Extracted,
-    /// The table grew by the pool delta first, then extracted.
-    Grown,
-    /// No (valid) table existed for the chain: a full cold solve.
-    Cold,
-}
+/// How the tier answered one request: the [`Herad::fill`] that brought
+/// the chain's table to the pool.
+pub use amp_core::sched::TableFill as TierServe;
 
 /// One chain's slot: the LRU stamp lives outside the entry mutex so
-/// eviction scans never contend with an in-flight solve.
+/// eviction scans never contend with an in-flight solve. The entry is
+/// fresh (`None`), solved (a table keyed to the chain), or poisoned (a
+/// table that matches no chain: a fill was interrupted, and the next
+/// request repairs it with a cold rebuild).
 struct EntrySlot {
     stamp: AtomicU64,
-    entry: Mutex<TierEntry>,
+    entry: Mutex<Option<ChainTable>>,
 }
 
-/// Tri-state per chain: fresh (`valid`, no table), solved (`valid`,
-/// table), or poisoned (`!valid` — a mutation was interrupted; the next
-/// request repairs with a cold solve).
-struct TierEntry {
-    valid: bool,
-    table: Option<ChainTable>,
+/// The slot's table if it holds a finished fill: a poisoned table has an
+/// empty key.
+fn solved(entry: &Option<ChainTable>) -> Option<&ChainTable> {
+    entry.as_ref().filter(|t| !t.tasks().is_empty())
 }
 
 /// Point-in-time counters of a [`ChainTier`].
@@ -257,20 +253,19 @@ impl ChainTier {
         }
         let slot = Arc::new(EntrySlot {
             stamp: AtomicU64::new(stamp),
-            entry: Mutex::new(TierEntry {
-                valid: true,
-                table: None,
-            }),
+            entry: Mutex::new(None),
         });
         map.insert(key.to_vec(), Arc::clone(&slot));
         slot
     }
 
-    /// Serves one HeRAD request from the tier: extraction when the chain's
-    /// table covers the pool, in-place growth when it exists but is too
-    /// small, a cold solve otherwise. Returns how it was served plus the
-    /// feasibility flag; on `true`, `out` holds the schedule, bit-identical
-    /// to a fresh `Herad::new()` solve at the same pool.
+    /// Serves one HeRAD request from the tier: [`Herad::fill`] brings the
+    /// chain's table to the pool (extraction when it covers the pool,
+    /// in-place growth when it is too small, a cold solve when there is
+    /// none or it is poisoned), then the schedule is extracted. Returns how
+    /// it was served plus the feasibility flag; on `true`, `out` holds the
+    /// schedule, bit-identical to a fresh `Herad::new()` solve at the same
+    /// pool.
     ///
     /// Must only be called on an enabled tier with a non-empty chain.
     pub fn serve(
@@ -283,47 +278,26 @@ impl ChainTier {
         debug_assert!(self.enabled(), "serve on a disabled tier");
         let slot = self.slot(key);
         let mut entry = slot.entry.lock();
-        if entry.valid {
-            if let Some(table) = entry.table.as_ref() {
-                if table.covers(resources) {
-                    self.roll("extract");
-                    let feasible = table.extract(chain, resources, out);
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return (TierServe::Extracted, feasible);
-                }
-                // Pool-delta growth: the mutation window is guarded by
-                // the valid flag, so an interrupted grow poisons the
-                // entry instead of leaving a half-relaid table behind.
-                entry.valid = false;
-                self.roll("grow");
-                let table = entry.table.as_mut().expect("checked above");
-                table.grow_to(chain, resources);
-                entry.valid = true;
-                let feasible = entry
-                    .table
-                    .as_ref()
-                    .expect("just grown")
-                    .extract(chain, resources, out);
-                self.grows.fetch_add(1, Ordering::Relaxed);
-                return (TierServe::Grown, feasible);
-            }
-        }
-        // Cold solve — either a fresh chain or the repair of a poisoned
-        // entry. Drop any stale table before the fallible work so an
-        // interruption here leaves "poisoned and empty", never garbage.
-        let repair = !entry.valid;
-        entry.valid = false;
-        entry.table = None;
-        self.roll("cold");
-        let table = ChainTable::solve(chain, resources);
+        let repair = entry.is_some() && solved(&entry).is_none();
+        let table = entry.get_or_insert_with(ChainTable::default);
+        let how = Herad::new().fill_with(table, chain, resources, |how| {
+            self.roll(match how {
+                TierServe::Extracted => "extract",
+                TierServe::Grown => "grow",
+                TierServe::Cold => "cold",
+            });
+        });
         let feasible = table.extract(chain, resources, out);
-        entry.table = Some(table);
-        entry.valid = true;
-        self.cold_solves.fetch_add(1, Ordering::Relaxed);
+        let counter = match how {
+            TierServe::Extracted => &self.hits,
+            TierServe::Grown => &self.grows,
+            TierServe::Cold => &self.cold_solves,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
         if repair {
             self.repairs.fetch_add(1, Ordering::Relaxed);
         }
-        (TierServe::Cold, feasible)
+        (how, feasible)
     }
 
     /// Current counters.
@@ -351,11 +325,7 @@ impl ChainTier {
         let mut tables: Vec<(String, Json)> = slots
             .iter()
             .filter_map(|slot| {
-                let entry = slot.entry.lock();
-                if !entry.valid {
-                    return None;
-                }
-                entry.table.as_ref().map(|t| {
+                solved(&slot.entry.lock()).map(|t| {
                     let doc = t.to_json();
                     (doc.render_compact(), doc)
                 })
@@ -380,11 +350,10 @@ impl ChainTier {
             .collect();
         let slot = self.slot(&key);
         let mut entry = slot.entry.lock();
-        if entry.valid && entry.table.is_some() {
+        if solved(&entry).is_some() {
             return;
         }
-        entry.table = Some(table);
-        entry.valid = true;
+        *entry = Some(table);
         self.snapshot_loaded.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -645,6 +614,61 @@ mod tests {
             tier.load_from(Path::new("/nonexistent/amp-snap.json")),
             Err(SnapshotError::Io { .. })
         ));
+    }
+
+    /// A snapshot of `chain()`'s `(2, 2)` table whose final cell starts
+    /// its last stage at its own layer, under a checksum recomputed the
+    /// way anyone can: FNV-1a over the canonical task and cell strings.
+    fn forged_snapshot() -> String {
+        let doc = ChainTable::solve(&chain(), Resources::new(2, 2)).to_json();
+        let mut obj = doc.as_obj().unwrap().clone();
+        let strings = |key: &str| -> Vec<String> {
+            let items = obj[key].as_arr().unwrap().iter();
+            items.map(|x| x.as_str().unwrap().to_string()).collect()
+        };
+        let tasks = strings("tasks");
+        let mut cells = strings("cells");
+        let last = cells.last_mut().unwrap();
+        let (fields, _start) = last.rsplit_once(',').unwrap();
+        *last = format!("{fields},3");
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |bytes: &[u8]| {
+            for &byte in bytes {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x100_0000_01b3);
+            }
+        };
+        for n in [tasks.len(), 2, 2] {
+            eat(&(n as u64).to_le_bytes());
+        }
+        for item in tasks.iter().chain(&cells) {
+            eat(item.as_bytes());
+            eat(b";");
+        }
+        obj.insert("checksum".to_string(), Json::Int(h));
+        obj.insert(
+            "cells".to_string(),
+            Json::Arr(cells.into_iter().map(Json::Str).collect()),
+        );
+        let other = TaskChain::new(vec![Task::new(7, 9, true)]);
+        let good = ChainTable::solve(&other, Resources::new(1, 1)).to_json();
+        snapshot_doc(vec![good, Json::Obj(obj)]).render_compact()
+    }
+
+    #[test]
+    fn forged_snapshot_rejects_wholesale_and_counts() {
+        let tier = ChainTier::new(8, None);
+        match tier.load_snapshot_text(&forged_snapshot()) {
+            // The checksum holds; the back-pointer check refuses the cell.
+            Err(SnapshotError::Malformed { message }) => {
+                assert!(message.contains("cell (3, 2, 2)"), "{message}");
+            }
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+        let stats = tier.stats();
+        assert_eq!(stats.snapshot_rejected, 1);
+        assert_eq!(stats.snapshot_loaded, 0);
+        assert_eq!(stats.entries, 0, "a rejected snapshot installs nothing");
     }
 
     #[test]

@@ -4,11 +4,9 @@
 //! stable machine-readable [`ServiceError::code`] (for logs, dashboards and
 //! cross-language clients) and a human-readable `Display`.
 
-use serde::{Deserialize, Serialize};
-
 /// Why a [`ScheduleRequest`](crate::ScheduleRequest) did not produce a
 /// schedule.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ServiceError {
     /// The request named a strategy that
     /// [`strategy_by_name`](amp_core::sched::strategy_by_name) does not

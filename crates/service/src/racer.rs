@@ -256,10 +256,10 @@ fn racer_loop(rx: &Receiver<RacerJob>, shared: &RacerShared) {
     // One scratch arena per racer thread, shared across every strategy it
     // ever runs (the scratch is staleness-proof across shapes and
     // strategies; the conformance `check_scratch` layer pins that). For
-    // the portfolio's HeRAD racer this also carries the sweep memo, so
-    // repeated requests for the same chain at different pools reuse the
-    // parked DP table (pool-delta warm starts) without any service-side
-    // wiring.
+    // the portfolio's HeRAD racer this also carries HeRAD's keyed table,
+    // so repeated requests for the same chain at different pools reuse
+    // the parked DP table (pool-delta warm starts) without any
+    // service-side wiring.
     let mut scratch = SchedScratch::new();
     while let Ok(job) = rx.recv() {
         if job.cancel.load(Ordering::Acquire) {

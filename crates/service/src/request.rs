@@ -1,20 +1,19 @@
 //! Wire types of the scheduling service: requests, responses and the
 //! scheduling outcome payload.
 //!
-//! All types are serde-serializable so the engine can sit behind any
-//! transport (an HTTP front-end, a message queue, a test harness). The
-//! exact rational period is carried as a canonical `"num/den"` string
+//! The types are plain data, so the engine can sit behind any transport
+//! (an HTTP front-end, a message queue, a test harness); `amp-net` speaks
+//! them as canonical JSON. The exact rational period is carried as a canonical `"num/den"` string
 //! because [`Ratio`] is an exact `u128` rational with no float round-trip.
 
 use amp_core::{Ratio, Resources, Solution, Stage, Task, TaskChain};
-use serde::{Deserialize, Serialize};
 
 use crate::error::ServiceError;
 
 /// One task of a request chain: weights on each core type plus the
 /// stateless (replicable) flag. A compact mirror of [`amp_core::Task`]
 /// without the display name, so equal workloads serialize identically.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct TaskSpec {
     /// Computation weight on a big core.
     pub weight_big: u64,
@@ -41,7 +40,7 @@ impl From<TaskSpec> for Task {
 }
 
 /// How the engine should map a request onto the paper's strategies.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Policy {
     /// Run exactly one named strategy (a Table I display name accepted by
     /// [`amp_core::sched::strategy_by_name`]).
@@ -54,7 +53,7 @@ pub enum Policy {
 /// What a request optimizes. Defaults to [`Objective::Period`] — the
 /// base paper's objective — so pre-energy clients (which never send the
 /// field) keep their exact semantics and bit-identical responses.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, Default)]
 pub enum Objective {
     /// Minimize the pipeline period (the base paper).
     #[default]
@@ -100,7 +99,7 @@ impl Objective {
 
 /// A scheduling request: a task chain, a resource pool, a policy and an
 /// optional compute deadline.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ScheduleRequest {
     /// Client-chosen correlation id, echoed verbatim in the response.
     pub id: u64,
@@ -199,7 +198,7 @@ pub fn parse_period(s: &str) -> Option<Ratio> {
 }
 
 /// A successful scheduling result.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ScheduleOutcome {
     /// Display name of the strategy whose solution won.
     pub strategy: String,
@@ -268,7 +267,7 @@ impl ScheduleOutcome {
 }
 
 /// The engine's reply to one [`ScheduleRequest`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ScheduleResponse {
     /// The request's correlation id, echoed back.
     pub id: u64,

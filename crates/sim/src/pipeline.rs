@@ -20,10 +20,9 @@ use crate::report::{SimReport, StageReport};
 use amp_core::{Solution, TaskChain};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Simulation parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SimConfig {
     /// Frames to push through the pipeline.
     pub frames: u64,

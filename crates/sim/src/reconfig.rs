@@ -18,10 +18,9 @@
 
 use crate::pipeline::SimConfig;
 use amp_core::{Solution, TaskChain};
-use serde::{Deserialize, Serialize};
 
 /// One epoch boundary of a simulated reconfiguration.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SimBoundary {
     /// First frame of the new epoch.
     pub frame: u64,
@@ -31,7 +30,7 @@ pub struct SimBoundary {
 }
 
 /// Outcome of [`simulate_reconfig`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ReconfigSimReport {
     /// Total frames across all epochs.
     pub frames: u64,

@@ -1,10 +1,9 @@
 //! Simulation results.
 
 use amp_core::CoreType;
-use serde::{Deserialize, Serialize};
 
 /// Per-stage outcome of a simulation run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct StageReport {
     /// Index of the stage in the solution.
     pub stage: usize,
@@ -21,7 +20,7 @@ pub struct StageReport {
 }
 
 /// Outcome of a simulation run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SimReport {
     /// Frames processed (including warm-up).
     pub frames: u64,

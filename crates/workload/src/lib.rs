@@ -10,10 +10,9 @@ use amp_core::{Resources, Task, TaskChain};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// How replicable tasks are chosen.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ReplicableSelection {
     /// Exactly `round(SR · n)` tasks, at uniformly random positions — the
     /// paper's "stateless ratio set equal to" phrasing.
@@ -23,7 +22,7 @@ pub enum ReplicableSelection {
 }
 
 /// Parameters of the synthetic generator.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SyntheticConfig {
     /// Number of tasks per chain.
     pub num_tasks: usize,
