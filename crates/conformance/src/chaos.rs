@@ -19,10 +19,15 @@
 //! * the cache never stores incomplete or invalid outcomes: a replay is
 //!   a cache hit exactly when the first run was complete, and a cached
 //!   replay is bit-identical;
+//! * a batch — the only way the wire submits — of FERTAC, 2CATAC and
+//!   both OTACs at the instance's pool and at one smaller pool gets
+//!   exactly one reply per member, each a sound solution for its pool or
+//!   an allowed error (`CHAOS_BATCH_*`);
 //! * [`ChaosHarness::final_accounting`] — the metrics account for every
 //!   injected fault (panics and invalid solutions each reconcile
 //!   exactly), and the worker pool is back at its configured size.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -32,8 +37,16 @@ use crate::instance::Instance;
 use amp_core::sched::{SchedScratch, Scheduler};
 use amp_core::{CoreType, Resources, Solution, Stage, TaskChain};
 use amp_service::{
-    Engine, EngineConfig, Policy, PortfolioConfig, ScheduleRequest, ServiceError, StrategyWrap,
+    solution_is_sound, Engine, EngineConfig, Policy, PortfolioConfig, ScheduleRequest,
+    ServiceError, StrategyWrap,
 };
+use crossbeam::channel;
+
+/// The strategies [`ChaosHarness::check`] sends as one batch.
+const BATCH_STRATEGIES: [&str; 4] = ["FERTAC", "2CATAC", "OTAC (B)", "OTAC (L)"];
+
+/// How long a batch member's reply may take before it counts as lost.
+const BATCH_REPLY_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Injection rates and determinism seed for one chaos run.
 #[derive(Clone, Copy, Debug)]
@@ -389,6 +402,62 @@ impl ChaosHarness {
                     format!("unexpected single-strategy error code {}", e.code()),
                 ));
             }
+        }
+        out.extend(self.check_batch(inst, &chain));
+        out
+    }
+
+    /// Sends [`BATCH_STRATEGIES`] at the instance's pool and at one
+    /// smaller pool as one batch and checks that each member id gets
+    /// exactly one reply: a solution sound for its pool, or an allowed
+    /// error.
+    fn check_batch(&self, inst: &Instance, chain: &TaskChain) -> Vec<Mismatch> {
+        let res = inst.resources();
+        let smaller = if res.big > 0 {
+            Resources::new(res.big - 1, res.little)
+        } else {
+            Resources::new(0, res.little.saturating_sub(1))
+        };
+        let members: Vec<ScheduleRequest> = [res, smaller]
+            .into_iter()
+            .flat_map(|pool| BATCH_STRATEGIES.map(|name| (pool, name)))
+            .map(|(pool, name)| {
+                let policy = Policy::Strategy(name.to_string());
+                ScheduleRequest::from_chain(self.fresh_id(), chain, pool, policy)
+            })
+            .collect();
+        let mut pending: BTreeMap<u64, Resources> =
+            members.iter().map(|m| (m.id, m.resources())).collect();
+        let (tx, rx) = channel::unbounded();
+        if let Err(bounced) = self.engine.try_submit_batch(members, tx) {
+            let detail = format!("batch refused with {}", bounced.error.code());
+            return vec![Mismatch::new("CHAOS_BATCH_REFUSED", inst, detail)];
+        }
+        let mut out = Vec::new();
+        // The worker drops the batch's reply sender once it is done with
+        // the batch, so the loop ends on disconnection, not on a count.
+        while let Ok(reply) = rx.recv_timeout(BATCH_REPLY_TIMEOUT) {
+            let Some(pool) = pending.remove(&reply.id) else {
+                let detail = format!("a second or unknown reply for id {}", reply.id);
+                out.push(Mismatch::new("CHAOS_BATCH_DUPLICATE", inst, detail));
+                continue;
+            };
+            match reply.result {
+                Ok(outcome) if !solution_is_sound(&outcome.solution(), chain, pool) => {
+                    let detail =
+                        format!("{} served an unsound solution at {pool}", outcome.strategy);
+                    out.push(Mismatch::new("CHAOS_BATCH_INVALID_SERVED", inst, detail));
+                }
+                Err(e) if !Self::error_allowed(&e) => {
+                    let detail = format!("unexpected error code {} at {pool}", e.code());
+                    out.push(Mismatch::new("CHAOS_BATCH_BAD_ERROR", inst, detail));
+                }
+                _ => {}
+            }
+        }
+        for (id, pool) in pending {
+            let detail = format!("member {id} at {pool} got no reply");
+            out.push(Mismatch::new("CHAOS_BATCH_LOST", inst, detail));
         }
         out
     }

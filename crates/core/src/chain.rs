@@ -68,7 +68,9 @@ impl TaskChain {
     /// # Panics
     /// Panics if `tasks` is empty or any task has a zero weight (Eq. (1)
     /// assumes positive latencies; zero-weight tasks would make tie-breaking
-    /// on replication counts ill-defined).
+    /// on replication counts ill-defined), and if either core type's weight
+    /// total exceeds `u64::MAX` (the prefix sums must be exact), in release
+    /// builds as in debug ones.
     #[must_use]
     pub fn new(tasks: Vec<Task>) -> Self {
         assert!(!tasks.is_empty(), "a task chain needs at least one task");
@@ -82,8 +84,13 @@ impl TaskChain {
                 t.weight_big > 0 && t.weight_little > 0,
                 "task weights must be positive"
             );
-            prefix_big.push(prefix_big.last().unwrap() + t.weight_big);
-            prefix_little.push(prefix_little.last().unwrap() + t.weight_little);
+            let sum = |prefix: &[u64], w: u64| {
+                prefix[prefix.len() - 1]
+                    .checked_add(w)
+                    .expect("task weight total overflows u64")
+            };
+            prefix_big.push(sum(&prefix_big, t.weight_big));
+            prefix_little.push(sum(&prefix_little, t.weight_little));
         }
         let mut next_seq = vec![n; n + 1];
         for i in (0..n).rev() {
@@ -309,5 +316,11 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_weight_panics() {
         let _ = TaskChain::new(vec![Task::new(0, 1, true)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows u64")]
+    fn overflowing_weight_total_panics_in_every_build() {
+        let _ = TaskChain::new(vec![Task::new(1, u64::MAX, true), Task::new(1, 1, true)]);
     }
 }

@@ -10,12 +10,12 @@
 //! bounded by design — `max_connections` × (reader + pump) threads is a
 //! few hundred OS threads at the configured limits, well inside what
 //! the OS schedules efficiently, and every instrument in the repo
-//! (panic isolation, drain-then-join shutdown, scoped batch fan-out)
-//! composes with plain threads without an executor in the middle. An
-//! async runtime would buy connection counts this service cannot use
-//! (the engine saturates long before 10k sockets) at the price of a
-//! second scheduler and a dependency the build must vendor. See
-//! DESIGN.md for the full decision record.
+//! (panic isolation, drain-then-join shutdown, the persistent racer
+//! pool) composes with plain threads without an executor in the
+//! middle. An async runtime would buy connection counts this service
+//! cannot use (the engine saturates long before 10k sockets) at the
+//! price of a second scheduler and a dependency the build must vendor.
+//! See DESIGN.md for the full decision record.
 //!
 //! ## Connection life cycle
 //!

@@ -480,3 +480,42 @@ fn energy_objective_is_cache_separated_over_the_socket() {
     drop(stream);
     server.shutdown();
 }
+
+/// One bad frame must not silence the frames pipelined with it: a
+/// zero-weight FERTAC frame and a valid FERTAC frame, sent in one write
+/// to a one-shard server, get two replies — the typed `INVALID_WEIGHTS`
+/// error and the schedule.
+#[test]
+fn zero_weight_frame_is_typed_and_spares_its_pipelined_neighbor() {
+    let server = Server::start(ServerConfig {
+        shards: 1,
+        ..small_server_config()
+    })
+    .expect("server");
+    let (mut stream, mut reader) = connect(&server);
+    stream
+        .set_read_timeout(Some(Duration::from_secs(3)))
+        .expect("read timeout");
+
+    let mut zero = request(1, 0);
+    zero.tasks[1].weight_little = 0;
+    let burst = format!(
+        "{}\n{}\n",
+        amp_net::proto::render_request(&zero, "public"),
+        amp_net::proto::render_request(&request(2, 0), "public")
+    );
+    stream.write_all(burst.as_bytes()).expect("write");
+    let mut replies = [read_response(&mut reader), read_response(&mut reader)];
+    replies.sort_by_key(|(id, _)| *id);
+    let [(zero_id, zero_result), (valid_id, valid_result)] = replies;
+    assert_eq!(zero_id, Some(1));
+    assert_eq!(
+        zero_result.expect_err("zero weight is refused"),
+        "INVALID_WEIGHTS"
+    );
+    assert_eq!(valid_id, Some(2));
+    assert!(valid_result.is_ok(), "the valid neighbor must be answered");
+
+    drop(stream);
+    server.shutdown();
+}

@@ -13,13 +13,11 @@
 //!
 //! Pipelined front ends (the `amp-net` socket server) hand over whole
 //! bursts at once: [`Engine::try_submit_batch`] enqueues many requests
-//! as *one* queue slot, and the worker that dequeues the batch fans the
-//! cache-missing single-strategy members into
-//! [`schedule_many_with`](amp_core::sched::batch::schedule_many_with)
-//! so one hand-off amortizes the queue round-trip and the solves share
-//! warm per-worker scratches. Batch members still get exactly one
-//! response each, in no guaranteed order — responses carry the request
-//! id precisely so ordering never matters.
+//! as *one* queue slot, so one hand-off amortizes the queue round-trip.
+//! There is one request path: the worker that dequeues a job answers its
+//! members one after another, in submission order, exactly as it answers
+//! a single request — same checks, one cache lookup, the same panic
+//! guard and solution check, on the worker's own scratch.
 //!
 //! ## Robustness contract
 //!
@@ -59,14 +57,12 @@
 //! flight. There is no window in which a request is accepted (`Ok`
 //! returned to the caller) but never answered.
 
-use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use amp_core::sched::batch::schedule_many_with;
 use amp_core::sched::{
     energy_strategy_by_name, strategy_by_name, EnergyDp, EnergyFertac, EnergyScheduler,
     EnergyTwocatac, SchedScratch,
@@ -81,7 +77,7 @@ use crate::error::ServiceError;
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::portfolio::{self, PortfolioConfig};
 use crate::racer::{solution_is_sound, RacerPool, StrategyWrap};
-use crate::request::{Policy, ScheduleOutcome, ScheduleRequest, ScheduleResponse};
+use crate::request::{Policy, ScheduleOutcome, ScheduleRequest, ScheduleResponse, TaskSpec};
 
 /// Sizing and tuning of an [`Engine`].
 #[derive(Clone)]
@@ -158,26 +154,19 @@ impl std::fmt::Debug for EngineConfig {
 }
 
 /// One queued unit of work: a single request, or a pipelined burst that
-/// travels as one queue slot.
-enum Job {
-    Single {
-        request: ScheduleRequest,
-        reply: Sender<ScheduleResponse>,
-        accepted_at: Instant,
-    },
-    Batch {
-        requests: Vec<ScheduleRequest>,
-        reply: Sender<ScheduleResponse>,
-        accepted_at: Instant,
-    },
+/// travels as one queue slot. Its members are answered in order.
+struct Job {
+    requests: Vec<ScheduleRequest>,
+    reply: Sender<ScheduleResponse>,
+    accepted_at: Instant,
 }
 
 impl Job {
-    /// Recovers the members of a batch job bounced back by the channel.
-    fn into_batch_requests(self) -> Vec<ScheduleRequest> {
-        match self {
-            Job::Batch { requests, .. } => requests,
-            Job::Single { request, .. } => vec![request],
+    fn new(requests: Vec<ScheduleRequest>, reply: Sender<ScheduleResponse>) -> Self {
+        Job {
+            requests,
+            reply,
+            accepted_at: Instant::now(),
         }
     }
 }
@@ -192,6 +181,16 @@ pub struct RejectedBatch {
     /// Why the batch was refused ([`ServiceError::Overloaded`] or
     /// [`ServiceError::ShuttingDown`]).
     pub error: ServiceError,
+}
+
+/// What the workers share: the counters, both caches, the portfolio's
+/// racer pool and its tuning.
+struct Shared {
+    metrics: ServiceMetrics,
+    cache: SolutionCache,
+    tier: ChainTier,
+    racers: RacerPool,
+    portfolio: PortfolioConfig,
 }
 
 /// A running scheduling service.
@@ -210,10 +209,7 @@ pub struct Engine {
     /// return only after the pool has fully exited.
     workers: Mutex<Vec<JoinHandle<()>>>,
     configured_workers: usize,
-    metrics: Arc<ServiceMetrics>,
-    cache: Arc<SolutionCache>,
-    tier: Arc<ChainTier>,
-    racers: Arc<RacerPool>,
+    shared: Arc<Shared>,
 }
 
 impl Engine {
@@ -225,57 +221,43 @@ impl Engine {
     #[must_use]
     pub fn start(cfg: EngineConfig) -> Self {
         let (job_tx, job_rx) = channel::bounded::<Job>(cfg.queue_depth.max(1));
-        let metrics = Arc::new(ServiceMetrics::new());
-        let cache = Arc::new(SolutionCache::new(cfg.cache_capacity, cfg.cache_shards));
-        let tier = Arc::new(ChainTier::new(cfg.chain_capacity, cfg.tier_fault.clone()));
+        let tier = ChainTier::new(cfg.chain_capacity, cfg.tier_fault.clone());
         if let Some(path) = &cfg.snapshot_path {
             // Typed rejection only: the error is visible in the tier's
             // snapshot_rejected counter, and an empty tier is always safe.
             let _ = tier.load_from(path);
         }
-        let racers = Arc::new(RacerPool::new(cfg.racer_threads, cfg.fault_wrap.clone()));
+        let shared = Arc::new(Shared {
+            metrics: ServiceMetrics::new(),
+            cache: SolutionCache::new(cfg.cache_capacity, cfg.cache_shards),
+            tier,
+            racers: RacerPool::new(cfg.racer_threads, cfg.fault_wrap.clone()),
+            portfolio: cfg.portfolio,
+        });
         let workers: Vec<JoinHandle<()>> = (0..cfg.workers)
             .filter_map(|i| {
                 let rx = job_rx.clone();
-                let worker_metrics = Arc::clone(&metrics);
-                let cache = Arc::clone(&cache);
-                let tier = Arc::clone(&tier);
-                let racers = Arc::clone(&racers);
-                let portfolio_cfg = cfg.portfolio;
-                let spawned = thread::Builder::new()
+                let worker_shared = Arc::clone(&shared);
+                thread::Builder::new()
                     .name(format!("amp-service-worker-{i}"))
-                    .spawn(move || {
-                        supervised_worker(
-                            &rx,
-                            &worker_metrics,
-                            &cache,
-                            &tier,
-                            &portfolio_cfg,
-                            &racers,
-                        );
-                    });
-                match spawned {
-                    Ok(handle) => Some(handle),
-                    Err(_) => {
-                        // Same degradation policy as the racer pool: a
-                        // spawn failure shrinks the pool instead of
-                        // unwinding the constructor.
-                        metrics.record_spawn_failure();
-                        None
-                    }
-                }
+                    .spawn(move || supervised_worker(&rx, &worker_shared))
+                    // Same degradation policy as the racer pool: a spawn
+                    // failure shrinks the pool instead of unwinding the
+                    // constructor.
+                    .inspect_err(|_| shared.metrics.record_spawn_failure())
+                    .ok()
             })
             .collect();
-        metrics.record_threads_spawned(workers.len() as u64 + racers.stats().threads_spawned);
+        let racer_threads = shared.racers.stats().threads_spawned;
+        shared
+            .metrics
+            .record_threads_spawned(workers.len() as u64 + racer_threads);
         Engine {
             job_tx: Mutex::new(Some(job_tx)),
             _job_rx: job_rx,
             configured_workers: workers.len(),
             workers: Mutex::new(workers),
-            metrics,
-            cache,
-            tier,
-            racers,
+            shared,
         }
     }
 
@@ -298,36 +280,19 @@ impl Engine {
         request: ScheduleRequest,
         reply: Sender<ScheduleResponse>,
     ) -> Result<(), ServiceError> {
-        let Some(tx) = self.sender() else {
-            return Err(ServiceError::ShuttingDown);
-        };
-        let job = Job::Single {
-            request,
-            reply,
-            accepted_at: Instant::now(),
-        };
-        match tx.try_send(job) {
-            Ok(()) => {
-                self.metrics.record_accepted();
-                Ok(())
-            }
-            Err(TrySendError::Full(_)) => {
-                self.metrics.record_rejected();
-                Err(ServiceError::Overloaded)
-            }
-            Err(TrySendError::Disconnected(_)) => Err(ServiceError::ShuttingDown),
-        }
+        self.try_submit_batch(vec![request], reply)
+            .map(drop)
+            .map_err(|bounced| bounced.error)
     }
 
     /// Non-blocking submission of a pipelined burst as one queue slot.
     ///
     /// All-or-nothing: on `Ok(n)` every request will receive exactly one
-    /// response on `reply` (in no guaranteed order — match by id); on
-    /// rejection *none* was enqueued and every member travels back in
-    /// the [`RejectedBatch`], so the caller can answer each one with the
-    /// typed error. Cache-missing members that share a strategy are
-    /// solved together via the batched scheduler kernel. An empty batch
-    /// is a no-op.
+    /// response on `reply`, sent in submission order; on rejection *none*
+    /// was enqueued and every member travels back in the
+    /// [`RejectedBatch`], so the caller can answer each one with the
+    /// typed error. Each member is served exactly as a single request
+    /// would be. An empty batch is a no-op.
     pub fn try_submit_batch(
         &self,
         requests: Vec<ScheduleRequest>,
@@ -343,25 +308,20 @@ impl Engine {
                 error: ServiceError::ShuttingDown,
             });
         };
-        let job = Job::Batch {
-            requests,
-            reply,
-            accepted_at: Instant::now(),
-        };
-        match tx.try_send(job) {
+        match tx.try_send(Job::new(requests, reply)) {
             Ok(()) => {
-                self.metrics.record_accepted_n(n as u64);
+                self.shared.metrics.record_accepted_n(n as u64);
                 Ok(n)
             }
             Err(TrySendError::Full(job)) => {
-                self.metrics.record_rejected_n(n as u64);
+                self.shared.metrics.record_rejected_n(n as u64);
                 Err(RejectedBatch {
-                    requests: job.into_batch_requests(),
+                    requests: job.requests,
                     error: ServiceError::Overloaded,
                 })
             }
             Err(TrySendError::Disconnected(job)) => Err(RejectedBatch {
-                requests: job.into_batch_requests(),
+                requests: job.requests,
                 error: ServiceError::ShuttingDown,
             }),
         }
@@ -383,14 +343,9 @@ impl Engine {
         let Some(tx) = self.sender() else {
             return Err(ServiceError::ShuttingDown);
         };
-        let job = Job::Single {
-            request,
-            reply,
-            accepted_at: Instant::now(),
-        };
-        match tx.send(job) {
+        match tx.send(Job::new(vec![request], reply)) {
             Ok(()) => {
-                self.metrics.record_accepted();
+                self.shared.metrics.record_accepted();
                 Ok(())
             }
             Err(_) => Err(ServiceError::ShuttingDown),
@@ -424,8 +379,8 @@ impl Engine {
     /// Point-in-time service metrics, including the racer-pool counters.
     #[must_use]
     pub fn metrics(&self) -> MetricsSnapshot {
-        let mut snap = self.metrics.snapshot();
-        let racers = self.racers.stats();
+        let mut snap = self.shared.metrics.snapshot();
+        let racers = self.shared.racers.stats();
         snap.racer_panics = racers.panics;
         snap.racer_invalid = racers.invalid;
         snap.racer_cancelled = racers.cancelled;
@@ -436,31 +391,31 @@ impl Engine {
     /// Point-in-time cache counters (the exact-fingerprint LRU tier).
     #[must_use]
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.shared.cache.stats()
     }
 
     /// Point-in-time chain-tier counters (the solve-once tier).
     #[must_use]
     pub fn tier_stats(&self) -> ChainTierStats {
-        self.tier.stats()
+        self.shared.tier.stats()
     }
 
     /// The chain tier itself — the shard router merges tier snapshots
     /// across engines through this.
     pub(crate) fn tier(&self) -> &ChainTier {
-        &self.tier
+        &self.shared.tier
     }
 
     /// Saves the chain tier's tables to `path` (atomic write). Returns
     /// how many tables were written.
     pub fn save_tier_snapshot(&self, path: &Path) -> Result<usize, SnapshotError> {
-        self.tier.save_to(path)
+        self.shared.tier.save_to(path)
     }
 
     /// Restores chain-tier tables from a snapshot file; a bad file is a
     /// typed error and changes nothing. Returns how many tables loaded.
     pub fn load_tier_snapshot(&self, path: &Path) -> Result<usize, SnapshotError> {
-        self.tier.load_from(path)
+        self.shared.tier.load_from(path)
     }
 
     /// Service metrics and cache counters as one JSON object, with the
@@ -569,531 +524,275 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 /// the per-request guard is caught here and the loop revived in place,
 /// so the pool's thread count never decays. A clean return (queue closed
 /// and drained) exits for real.
-fn supervised_worker(
-    rx: &Receiver<Job>,
-    metrics: &ServiceMetrics,
-    cache: &SolutionCache,
-    tier: &ChainTier,
-    portfolio_cfg: &PortfolioConfig,
-    racers: &RacerPool,
-) {
-    metrics.record_worker_started();
+fn supervised_worker(rx: &Receiver<Job>, shared: &Shared) {
+    shared.metrics.record_worker_started();
     loop {
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            worker_loop(rx, metrics, cache, tier, portfolio_cfg, racers);
-        }));
-        match run {
+        match catch_unwind(AssertUnwindSafe(|| worker_loop(rx, shared))) {
             Ok(()) => break,
-            Err(_) => metrics.record_worker_panic(),
+            Err(_) => shared.metrics.record_worker_panic(),
         }
     }
-    metrics.record_worker_stopped();
+    shared.metrics.record_worker_stopped();
 }
 
-/// Intra-batch parallelism cap: how many scoped solver threads one
-/// engine worker may fan a batch across. Small on purpose — the engine
-/// already runs one worker per core; batching mostly amortizes queue
-/// hand-offs, and a modest fan-out picks up the slack on bursty loads
-/// without oversubscribing the machine.
-const BATCH_FANOUT: usize = 4;
-
-fn worker_loop(
-    rx: &Receiver<Job>,
-    metrics: &ServiceMetrics,
-    cache: &SolutionCache,
-    tier: &ChainTier,
-    portfolio_cfg: &PortfolioConfig,
-    racers: &RacerPool,
-) {
+/// Answers every member of every job, in submission order, each through
+/// one [`Shared::compute_guarded`] call.
+fn worker_loop(rx: &Receiver<Job>, shared: &Shared) {
     // One scratch arena per worker, reused across every request the
     // worker ever handles: steady-state scheduling allocates nothing.
     let mut scratch = SchedScratch::new();
-    // Extra scratches for batched jobs, grown on demand up to
-    // `BATCH_FANOUT` and likewise reused across batches.
-    let mut batch_scratches: Vec<SchedScratch> = Vec::new();
     // `recv` keeps returning queued jobs after the engine closes the
     // queue and only errors once it is both closed *and* empty — that is
     // exactly the drain-then-exit shutdown contract.
     while let Ok(job) = rx.recv() {
-        match job {
-            Job::Single {
-                request,
-                reply,
-                accepted_at,
-            } => {
-                let result = compute_guarded(
-                    &request,
-                    metrics,
-                    cache,
-                    tier,
-                    portfolio_cfg,
-                    racers,
-                    &mut scratch,
-                );
-                respond(&reply, request.id, result, accepted_at, metrics);
-            }
-            Job::Batch {
-                requests,
-                reply,
-                accepted_at,
-            } => run_batch(
-                requests,
-                &reply,
-                accepted_at,
-                metrics,
-                cache,
-                tier,
-                portfolio_cfg,
-                racers,
-                &mut scratch,
-                &mut batch_scratches,
-            ),
+        for request in &job.requests {
+            let result = shared.compute_guarded(request, &mut scratch);
+            shared
+                .metrics
+                .record_response(job.accepted_at.elapsed(), result.is_err());
+            // A client that dropped its reply receiver forfeits the
+            // answer; that is its choice, not an engine failure.
+            let _ = job.reply.send(ScheduleResponse {
+                id: request.id,
+                result,
+            });
         }
     }
 }
 
-/// Runs one request's compute under panic isolation: an unwinding
-/// strategy (or any compute-path bug) still yields exactly one typed
-/// result, and the possibly half-written scratch is recycled.
-#[allow(clippy::too_many_arguments)]
-fn compute_guarded(
-    request: &ScheduleRequest,
-    metrics: &ServiceMetrics,
-    cache: &SolutionCache,
-    tier: &ChainTier,
-    portfolio_cfg: &PortfolioConfig,
-    racers: &RacerPool,
-    scratch: &mut SchedScratch,
-) -> Result<ScheduleOutcome, ServiceError> {
-    catch_unwind(AssertUnwindSafe(|| {
-        handle(
-            request,
-            metrics,
-            cache,
-            tier,
-            portfolio_cfg,
-            racers,
-            scratch,
-        )
-    }))
-    .unwrap_or_else(|panic| {
-        metrics.record_worker_panic();
-        // The interrupted solve may have left the arena mid-write;
-        // recycle it rather than trust it.
-        *scratch = SchedScratch::new();
-        Err(ServiceError::Internal(format!(
-            "worker panicked while scheduling: {}",
-            panic_message(panic.as_ref())
-        )))
-    })
+/// `true` when every weight is positive and each core type's total fits
+/// in a `u64`: what [`TaskChain::new`] requires of a chain.
+fn weights_are_valid(tasks: &[TaskSpec]) -> bool {
+    let fits = |weight: fn(&TaskSpec) -> u64| {
+        tasks
+            .iter()
+            .try_fold(0u64, |total, t| total.checked_add(weight(t)))
+            .is_some()
+    };
+    tasks
+        .iter()
+        .all(|t| t.weight_big > 0 && t.weight_little > 0)
+        && fits(|t| t.weight_big)
+        && fits(|t| t.weight_little)
 }
 
-/// Records and delivers one response. A client that dropped its reply
-/// receiver forfeits the answer; that is its choice, not an engine
-/// failure.
-fn respond(
-    reply: &Sender<ScheduleResponse>,
-    id: u64,
-    result: Result<ScheduleOutcome, ServiceError>,
-    accepted_at: Instant,
-    metrics: &ServiceMetrics,
-) {
-    let is_error = result.is_err();
-    metrics.record_response(accepted_at.elapsed(), is_error);
-    let _ = reply.send(ScheduleResponse { id, result });
-}
+impl Shared {
+    /// Runs one request's compute under panic isolation: an unwinding
+    /// strategy (or any compute-path bug) still yields exactly one typed
+    /// result, and the possibly half-written scratch is recycled.
+    fn compute_guarded(
+        &self,
+        request: &ScheduleRequest,
+        scratch: &mut SchedScratch,
+    ) -> Result<ScheduleOutcome, ServiceError> {
+        catch_unwind(AssertUnwindSafe(|| self.handle(request, scratch))).unwrap_or_else(|panic| {
+            self.metrics.record_worker_panic();
+            // The interrupted solve may have left the arena mid-write;
+            // recycle it rather than trust it.
+            *scratch = SchedScratch::new();
+            Err(ServiceError::Internal(format!(
+                "worker panicked while scheduling: {}",
+                panic_message(panic.as_ref())
+            )))
+        })
+    }
 
-/// Serves a pipelined batch: validation errors and cache hits answer
-/// immediately, portfolio members run through the regular single-request
-/// path, and cache-missing members that share a (known) strategy are
-/// solved together through the batched scheduler kernel on the worker's
-/// persistent scratch pool. Exactly one response per member, always.
-#[allow(clippy::too_many_arguments)]
-fn run_batch(
-    requests: Vec<ScheduleRequest>,
-    reply: &Sender<ScheduleResponse>,
-    accepted_at: Instant,
-    metrics: &ServiceMetrics,
-    cache: &SolutionCache,
-    tier: &ChainTier,
-    portfolio_cfg: &PortfolioConfig,
-    racers: &RacerPool,
-    scratch: &mut SchedScratch,
-    batch_scratches: &mut Vec<SchedScratch>,
-) {
-    let mut groups: BTreeMap<&'static str, Vec<ScheduleRequest>> = BTreeMap::new();
-    let mut solos: Vec<ScheduleRequest> = Vec::new();
-    for request in requests {
-        // Fast paths mirror `handle` exactly: typed validation errors
-        // and cache hits never wait for the solver fan-out.
+    fn handle(
+        &self,
+        request: &ScheduleRequest,
+        scratch: &mut SchedScratch,
+    ) -> Result<ScheduleOutcome, ServiceError> {
         if request.tasks.is_empty() {
-            respond(
-                reply,
-                request.id,
-                Err(ServiceError::EmptyChain),
-                accepted_at,
-                metrics,
-            );
-            continue;
+            return Err(ServiceError::EmptyChain);
         }
         if request.big_cores == 0 && request.little_cores == 0 {
-            respond(
-                reply,
-                request.id,
-                Err(ServiceError::NoCores),
-                accepted_at,
-                metrics,
-            );
-            continue;
+            return Err(ServiceError::NoCores);
         }
-        if let Some(hit) = cache.get(&CacheKey::for_request(&request)) {
-            respond(reply, request.id, Ok(hit), accepted_at, metrics);
-            continue;
+        if !weights_are_valid(&request.tasks) {
+            return Err(ServiceError::InvalidWeights);
         }
-        // Energy-objective members take the sequential single-request
-        // path: their strategy names live in a separate registry and the
-        // batched kernel only speaks the period trait.
+        let key = CacheKey::for_request(request);
+        if let Some(hit) = self.cache.get(&key) {
+            return Ok(hit);
+        }
+        let chain = request.chain();
+        let resources = request.resources();
+        // Defense in depth before anything is served or cached: re-validate
+        // the winning stages against the chain and the pool. An invalid
+        // solution here means a scheduler bug (or an injected fault) — fail
+        // loudly instead of persisting garbage. The vet runs on the raw
+        // solution, before any outcome derivation touches the chain with
+        // possibly out-of-range stage indices.
+        let vet = |strategy: &str, solution: &Solution| -> Result<(), ServiceError> {
+            if solution_is_sound(solution, &chain, resources) {
+                Ok(())
+            } else {
+                self.metrics.record_invalid_solution();
+                Err(ServiceError::Internal(format!(
+                    "strategy {strategy} produced an invalid solution; refusing to serve or cache it"
+                )))
+            }
+        };
         if !request.objective.is_period() {
-            solos.push(request);
-            continue;
+            let outcome = self.solve_energy(request, &chain, resources, scratch, &vet)?;
+            if outcome.complete {
+                self.cache.insert(key, outcome.clone());
+            }
+            return Ok(outcome);
         }
-        match &request.policy {
-            Policy::Strategy(name) => match strategy_by_name(name) {
-                // Tier-eligible members run through the sequential
-                // single-request path instead of the scoped fan-out: the
-                // chain tier serializes same-chain solves anyway (one
-                // cold solve, then pure extraction), so fanning them out
-                // would only have threads queue on the entry lock.
-                Some(strategy) if tier.enabled() && strategy.name() == "HeRAD" => {
-                    solos.push(request);
+        let outcome = match &request.policy {
+            Policy::Strategy(name) => {
+                let strategy = strategy_by_name(name)
+                    .ok_or_else(|| ServiceError::UnknownStrategy { name: name.clone() })?;
+                let strategy = self.racers.wrapped(strategy);
+                let mut solution = Solution::empty();
+                // HeRAD requests go through the chain tier: one solved DP
+                // table per chain answers every pool shape by extraction
+                // (bit-identical to the direct solve, pinned by the
+                // conformance battery). Other strategies — and a disabled
+                // tier — take the direct solver path.
+                let feasible = if self.tier.enabled() && strategy.name() == "HeRAD" {
+                    self.tier
+                        .serve(&request.tasks, &chain, resources, &mut solution)
+                        .1
+                } else {
+                    strategy.schedule_into(&chain, resources, scratch, &mut solution)
+                };
+                if !feasible {
+                    return Err(ServiceError::Infeasible);
                 }
-                Some(strategy) => groups.entry(strategy.name()).or_default().push(request),
-                None => {
-                    let err = ServiceError::UnknownStrategy { name: name.clone() };
-                    respond(reply, request.id, Err(err), accepted_at, metrics);
-                }
-            },
-            Policy::Portfolio => solos.push(request),
+                vet(strategy.name(), &solution)?;
+                ScheduleOutcome::from_solution(strategy.name(), &solution, &chain, true)
+            }
+            Policy::Portfolio => {
+                // The deadline bounds the compute phase: it starts ticking
+                // when a worker dequeues the request, not when the client
+                // submitted it (queueing delay is the queue's business and
+                // is visible in the latency histogram instead).
+                let deadline = request
+                    .deadline_us
+                    .map(|us| Instant::now() + Duration::from_micros(us));
+                let out = portfolio::run(
+                    &chain,
+                    resources,
+                    deadline,
+                    &self.portfolio,
+                    scratch,
+                    &self.racers,
+                )
+                .ok_or(ServiceError::Infeasible)?;
+                self.metrics.record_portfolio(out.complete);
+                vet(out.strategy, &out.solution)?;
+                ScheduleOutcome::from_solution(out.strategy, &out.solution, &chain, out.complete)
+            }
+        };
+        // Only complete outcomes are sound to replay: a deadline-truncated
+        // (or racer-failure-truncated) portfolio answer may be improvable,
+        // and caching it would pin the worse solution for every later
+        // identical request.
+        if outcome.complete {
+            self.cache.insert(key, outcome.clone());
         }
+        Ok(outcome)
     }
-    for request in solos {
-        let result = compute_guarded(
-            &request,
-            metrics,
-            cache,
-            tier,
-            portfolio_cfg,
-            racers,
-            scratch,
-        );
-        respond(reply, request.id, result, accepted_at, metrics);
-    }
-    for (name, members) in groups {
-        if members.len() == 1 {
-            // A lone member gains nothing from the fan-out; keep it on
-            // the worker's warm single-request scratch.
-            let request = &members[0];
-            let result = compute_guarded(
-                request,
-                metrics,
-                cache,
-                tier,
-                portfolio_cfg,
-                racers,
-                scratch,
-            );
-            respond(reply, request.id, result, accepted_at, metrics);
-            continue;
-        }
-        run_group(
-            name,
-            members,
-            reply,
-            accepted_at,
-            metrics,
-            cache,
-            racers,
-            batch_scratches,
-        );
-    }
-}
 
-/// Solves one same-strategy group through `schedule_many_with`, then
-/// vets, caches and answers each member. The whole group runs under one
-/// panic guard: an unwind anywhere in the fan-out turns into a typed
-/// `Internal` response for every member and a recycled scratch pool.
-#[allow(clippy::too_many_arguments)]
-fn run_group(
-    name: &'static str,
-    members: Vec<ScheduleRequest>,
-    reply: &Sender<ScheduleResponse>,
-    accepted_at: Instant,
-    metrics: &ServiceMetrics,
-    cache: &SolutionCache,
-    racers: &RacerPool,
-    batch_scratches: &mut Vec<SchedScratch>,
-) {
-    let strategy = racers.wrapped(strategy_by_name(name).expect("group key is a known strategy"));
-    let chains: Vec<TaskChain> = members.iter().map(ScheduleRequest::chain).collect();
-    let jobs: Vec<(&TaskChain, Resources)> = chains
-        .iter()
-        .zip(&members)
-        .map(|(chain, request)| (chain, request.resources()))
-        .collect();
-    let fanout = members.len().min(BATCH_FANOUT);
-    while batch_scratches.len() < fanout {
-        batch_scratches.push(SchedScratch::new());
-    }
-    let solved = catch_unwind(AssertUnwindSafe(|| {
-        schedule_many_with(&*strategy, &jobs, &mut batch_scratches[..fanout])
-    }));
-    match solved {
-        Ok(results) => {
-            for ((request, chain), maybe) in members.iter().zip(&chains).zip(results) {
-                let result = match maybe {
-                    None => Err(ServiceError::Infeasible),
-                    Some(solution) => {
-                        // Same vet-before-cache defense as `handle`.
-                        if solution_is_sound(&solution, chain, request.resources()) {
-                            let outcome = ScheduleOutcome::from_solution(
-                                strategy.name(),
-                                &solution,
-                                chain,
-                                true,
-                            );
-                            cache.insert(CacheKey::for_request(request), outcome.clone());
-                            Ok(outcome)
-                        } else {
-                            metrics.record_invalid_solution();
-                            Err(ServiceError::Internal(format!(
-                                "strategy {name} produced an invalid solution; \
-                                 refusing to serve or cache it"
-                            )))
+    /// Serves one energy-objective request: minimize steady-state power
+    /// subject to the pipeline meeting the request's target period.
+    ///
+    /// The power model is the service-wide [`MilliPower::typical`] figures
+    /// (integer milliwatts, so the exact arithmetic and the wire stay
+    /// float-free). `Policy::Strategy` resolves against the energy registry
+    /// ([`energy_strategy_by_name`]); `Policy::Portfolio` runs an anytime
+    /// ladder inline on the worker — greedy `EnergyFERTAC` first (always
+    /// finishes), then the budgeted `Energy2CATAC`, then the exact
+    /// `EnergyDP` — checking the deadline between members. The outcome is
+    /// `complete` (and therefore cacheable) only when the exact DP ran, so
+    /// a deadline-truncated answer is never replayed as minimal.
+    fn solve_energy(
+        &self,
+        request: &ScheduleRequest,
+        chain: &TaskChain,
+        resources: Resources,
+        scratch: &mut SchedScratch,
+        vet: &dyn Fn(&str, &Solution) -> Result<(), ServiceError>,
+    ) -> Result<ScheduleOutcome, ServiceError> {
+        let target = request
+            .objective
+            .energy_target()
+            .ok_or(ServiceError::InvalidObjective)?;
+        let power = MilliPower::typical();
+        let (name, solution, complete) = match &request.policy {
+            Policy::Strategy(name) => {
+                let strategy = energy_strategy_by_name(name)
+                    .ok_or_else(|| ServiceError::UnknownStrategy { name: name.clone() })?;
+                let mut solution = Solution::empty();
+                strategy
+                    .schedule_energy_into(chain, resources, &power, target, scratch, &mut solution)
+                    .ok_or(ServiceError::Infeasible)?;
+                (strategy.name(), solution, true)
+            }
+            Policy::Portfolio => {
+                let deadline = request
+                    .deadline_us
+                    .map(|us| Instant::now() + Duration::from_micros(us));
+                let members: [Box<dyn EnergyScheduler>; 3] = [
+                    Box::new(EnergyFertac),
+                    Box::new(EnergyTwocatac::with_node_budget(
+                        self.portfolio.twocatac_node_budget,
+                    )),
+                    Box::new(EnergyDp::new()),
+                ];
+                let last = members.len() - 1;
+                let mut best: Option<(&'static str, Solution, Ratio)> = None;
+                let mut complete = false;
+                for (i, member) in members.iter().enumerate() {
+                    // The greedy first member always runs, so an expired
+                    // deadline still yields a valid schedule; later members
+                    // only start while time remains.
+                    if i > 0 && deadline.is_some_and(|d| Instant::now() >= d) {
+                        break;
+                    }
+                    let mut solution = Solution::empty();
+                    if let Some(energy) = member.schedule_energy_into(
+                        chain,
+                        resources,
+                        &power,
+                        target,
+                        scratch,
+                        &mut solution,
+                    ) {
+                        if best
+                            .as_ref()
+                            .is_none_or(|&(_, _, incumbent)| energy < incumbent)
+                        {
+                            best = Some((member.name(), solution, energy));
                         }
                     }
-                };
-                respond(reply, request.id, result, accepted_at, metrics);
-            }
-        }
-        Err(panic) => {
-            metrics.record_worker_panic();
-            // Any scratch in the pool may be mid-write; recycle them all.
-            batch_scratches.clear();
-            let msg = format!(
-                "worker panicked while batch scheduling: {}",
-                panic_message(panic.as_ref())
-            );
-            for request in &members {
-                respond(
-                    reply,
-                    request.id,
-                    Err(ServiceError::Internal(msg.clone())),
-                    accepted_at,
-                    metrics,
-                );
-            }
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn handle(
-    request: &ScheduleRequest,
-    metrics: &ServiceMetrics,
-    cache: &SolutionCache,
-    tier: &ChainTier,
-    portfolio_cfg: &PortfolioConfig,
-    racers: &RacerPool,
-    scratch: &mut SchedScratch,
-) -> Result<ScheduleOutcome, ServiceError> {
-    if request.tasks.is_empty() {
-        return Err(ServiceError::EmptyChain);
-    }
-    if request.big_cores == 0 && request.little_cores == 0 {
-        return Err(ServiceError::NoCores);
-    }
-    let key = CacheKey::for_request(request);
-    if let Some(hit) = cache.get(&key) {
-        return Ok(hit);
-    }
-    let chain = request.chain();
-    let resources = request.resources();
-    // Defense in depth before anything is served or cached: re-validate
-    // the winning stages against the chain and the pool. An invalid
-    // solution here means a scheduler bug (or an injected fault) — fail
-    // loudly instead of persisting garbage. The vet runs on the raw
-    // solution, before any outcome derivation touches the chain with
-    // possibly out-of-range stage indices.
-    let vet = |strategy: &str, solution: &Solution| -> Result<(), ServiceError> {
-        if solution_is_sound(solution, &chain, resources) {
-            Ok(())
-        } else {
-            metrics.record_invalid_solution();
-            Err(ServiceError::Internal(format!(
-                "strategy {strategy} produced an invalid solution; refusing to serve or cache it"
-            )))
-        }
-    };
-    if !request.objective.is_period() {
-        let outcome = solve_energy(
-            request,
-            &chain,
-            resources,
-            metrics,
-            portfolio_cfg,
-            scratch,
-            &vet,
-        )?;
-        if outcome.complete {
-            cache.insert(key, outcome.clone());
-        }
-        return Ok(outcome);
-    }
-    let outcome = match &request.policy {
-        Policy::Strategy(name) => {
-            let strategy = strategy_by_name(name)
-                .ok_or_else(|| ServiceError::UnknownStrategy { name: name.clone() })?;
-            let strategy = racers.wrapped(strategy);
-            let mut solution = Solution::empty();
-            // HeRAD requests go through the chain tier: one solved DP
-            // table per chain answers every pool shape by extraction
-            // (bit-identical to the direct solve, pinned by the
-            // conformance battery). Other strategies — and a disabled
-            // tier — take the direct solver path.
-            let feasible = if tier.enabled() && strategy.name() == "HeRAD" {
-                tier.serve(&request.tasks, &chain, resources, &mut solution)
-                    .1
-            } else {
-                strategy.schedule_into(&chain, resources, scratch, &mut solution)
-            };
-            if !feasible {
-                return Err(ServiceError::Infeasible);
-            }
-            vet(strategy.name(), &solution)?;
-            ScheduleOutcome::from_solution(strategy.name(), &solution, &chain, true)
-        }
-        Policy::Portfolio => {
-            // The deadline bounds the compute phase: it starts ticking
-            // when a worker dequeues the request, not when the client
-            // submitted it (queueing delay is the queue's business and
-            // is visible in the latency histogram instead).
-            let deadline = request
-                .deadline_us
-                .map(|us| Instant::now() + Duration::from_micros(us));
-            let out = portfolio::run(&chain, resources, deadline, portfolio_cfg, scratch, racers)
-                .ok_or(ServiceError::Infeasible)?;
-            metrics.record_portfolio(out.complete);
-            vet(out.strategy, &out.solution)?;
-            ScheduleOutcome::from_solution(out.strategy, &out.solution, &chain, out.complete)
-        }
-    };
-    // Only complete outcomes are sound to replay: a deadline-truncated
-    // (or racer-failure-truncated) portfolio answer may be improvable,
-    // and caching it would pin the worse solution for every later
-    // identical request.
-    if outcome.complete {
-        cache.insert(key, outcome.clone());
-    }
-    Ok(outcome)
-}
-
-/// Serves one energy-objective request: minimize steady-state power
-/// subject to the pipeline meeting the request's target period.
-///
-/// The power model is the service-wide [`MilliPower::typical`] figures
-/// (integer milliwatts, so the exact arithmetic and the wire stay
-/// float-free). `Policy::Strategy` resolves against the energy registry
-/// ([`energy_strategy_by_name`]); `Policy::Portfolio` runs an anytime
-/// ladder inline on the worker — greedy `EnergyFERTAC` first (always
-/// finishes), then the budgeted `Energy2CATAC`, then the exact
-/// `EnergyDP` — checking the deadline between members. The outcome is
-/// `complete` (and therefore cacheable) only when the exact DP ran, so
-/// a deadline-truncated answer is never replayed as minimal.
-fn solve_energy(
-    request: &ScheduleRequest,
-    chain: &TaskChain,
-    resources: Resources,
-    metrics: &ServiceMetrics,
-    portfolio_cfg: &PortfolioConfig,
-    scratch: &mut SchedScratch,
-    vet: &dyn Fn(&str, &Solution) -> Result<(), ServiceError>,
-) -> Result<ScheduleOutcome, ServiceError> {
-    let target = request
-        .objective
-        .energy_target()
-        .ok_or(ServiceError::InvalidObjective)?;
-    let power = MilliPower::typical();
-    let (name, solution, complete) = match &request.policy {
-        Policy::Strategy(name) => {
-            let strategy = energy_strategy_by_name(name)
-                .ok_or_else(|| ServiceError::UnknownStrategy { name: name.clone() })?;
-            let mut solution = Solution::empty();
-            strategy
-                .schedule_energy_into(chain, resources, &power, target, scratch, &mut solution)
-                .ok_or(ServiceError::Infeasible)?;
-            (strategy.name(), solution, true)
-        }
-        Policy::Portfolio => {
-            let deadline = request
-                .deadline_us
-                .map(|us| Instant::now() + Duration::from_micros(us));
-            let members: [Box<dyn EnergyScheduler>; 3] = [
-                Box::new(EnergyFertac),
-                Box::new(EnergyTwocatac::with_node_budget(
-                    portfolio_cfg.twocatac_node_budget,
-                )),
-                Box::new(EnergyDp::new()),
-            ];
-            let last = members.len() - 1;
-            let mut best: Option<(&'static str, Solution, Ratio)> = None;
-            let mut complete = false;
-            for (i, member) in members.iter().enumerate() {
-                // The greedy first member always runs, so an expired
-                // deadline still yields a valid schedule; later members
-                // only start while time remains.
-                if i > 0 && deadline.is_some_and(|d| Instant::now() >= d) {
-                    break;
-                }
-                let mut solution = Solution::empty();
-                if let Some(energy) = member.schedule_energy_into(
-                    chain,
-                    resources,
-                    &power,
-                    target,
-                    scratch,
-                    &mut solution,
-                ) {
-                    if best
-                        .as_ref()
-                        .is_none_or(|&(_, _, incumbent)| energy < incumbent)
-                    {
-                        best = Some((member.name(), solution, energy));
+                    if i == last {
+                        complete = true;
                     }
                 }
-                if i == last {
-                    complete = true;
-                }
+                self.metrics.record_portfolio(complete);
+                let (name, solution, _) = best.ok_or(ServiceError::Infeasible)?;
+                (name, solution, complete)
             }
-            metrics.record_portfolio(complete);
-            let (name, solution, _) = best.ok_or(ServiceError::Infeasible)?;
-            (name, solution, complete)
+        };
+        vet(name, &solution)?;
+        // Defense in depth beyond structural soundness: an energy answer
+        // must actually honor the throughput constraint it was solved under.
+        if solution.period(chain) > target {
+            self.metrics.record_invalid_solution();
+            return Err(ServiceError::Internal(format!(
+                "energy strategy {name} missed the target period; refusing to serve or cache it"
+            )));
         }
-    };
-    vet(name, &solution)?;
-    // Defense in depth beyond structural soundness: an energy answer
-    // must actually honor the throughput constraint it was solved under.
-    if solution.period(chain) > target {
-        metrics.record_invalid_solution();
-        return Err(ServiceError::Internal(format!(
-            "energy strategy {name} missed the target period; refusing to serve or cache it"
-        )));
+        let energy_mw = power.solution_power_milliwatts(chain, &solution, target);
+        self.metrics.record_energy(energy_mw);
+        Ok(
+            ScheduleOutcome::from_solution(name, &solution, chain, complete)
+                .with_energy_milliwatts(energy_mw),
+        )
     }
-    let energy_mw = power.solution_power_milliwatts(chain, &solution, target);
-    metrics.record_energy(energy_mw);
-    Ok(
-        ScheduleOutcome::from_solution(name, &solution, chain, complete)
-            .with_energy_milliwatts(energy_mw),
-    )
 }
 
 #[cfg(test)]
@@ -1612,12 +1311,87 @@ mod tests {
             Resources::new(2, 2),
             Policy::Strategy("FERTAC".to_string()),
         );
-        match e.schedule_blocking(req).result {
+        match e.schedule_blocking(req.clone()).result {
             Err(ServiceError::Internal(msg)) => assert!(msg.contains("invalid"), "{msg}"),
             other => panic!("expected Internal error, got {other:?}"),
         }
         assert_eq!(e.cache_stats().insertions, 0);
         assert_eq!(e.metrics().invalid_solutions, 1);
+        // Batch members pass the same check.
+        let batch = vec![
+            ScheduleRequest {
+                id: 2,
+                ..req.clone()
+            },
+            ScheduleRequest {
+                id: 3,
+                little_cores: 3,
+                ..req
+            },
+        ];
+        let (tx, rx) = channel::unbounded();
+        assert_eq!(e.try_submit_batch(batch, tx).expect("accepted"), 2);
+        for _ in 0..2 {
+            match rx.recv().expect("one response per member").result {
+                Err(ServiceError::Internal(msg)) => assert!(msg.contains("invalid"), "{msg}"),
+                other => panic!("expected Internal error, got {other:?}"),
+            }
+        }
+        assert_eq!(e.cache_stats().insertions, 0);
+        assert_eq!(e.metrics().invalid_solutions, 3);
+    }
+
+    /// A zero weight or a per-type weight total past `u64::MAX` is a
+    /// typed `InvalidWeights` before any chain is built: no worker panic,
+    /// and no prefix sum wraps into a wrong period. A valid member of the
+    /// same batch is still answered.
+    #[test]
+    fn invalid_weights_get_a_typed_error_without_a_panic() {
+        let e = engine(1);
+        let spec = |weight_big, weight_little, replicable| TaskSpec {
+            weight_big,
+            weight_little,
+            replicable,
+        };
+        let valid = ScheduleRequest::from_chain(
+            1,
+            &chain(),
+            Resources::new(2, 2),
+            Policy::Strategy("FERTAC".to_string()),
+        );
+        let zero = ScheduleRequest {
+            id: 2,
+            tasks: vec![spec(10, 25, false), spec(0, 90, true)],
+            ..valid.clone()
+        };
+        let overflow = ScheduleRequest {
+            id: 3,
+            tasks: vec![
+                spec(u64::MAX, u64::MAX, false),
+                spec(u64::MAX, u64::MAX, true),
+                spec(5, 12, false),
+            ],
+            policy: Policy::Strategy("HeRAD".to_string()),
+            ..valid.clone()
+        };
+        for req in [zero.clone(), overflow] {
+            assert_eq!(
+                e.schedule_blocking(req).result,
+                Err(ServiceError::InvalidWeights)
+            );
+        }
+        let (tx, rx) = channel::unbounded();
+        assert_eq!(e.try_submit_batch(vec![zero, valid], tx).unwrap(), 2);
+        let first: ScheduleResponse = rx.recv().expect("zero-weight member answers");
+        assert_eq!(
+            (first.id, first.result),
+            (2, Err(ServiceError::InvalidWeights))
+        );
+        let second = rx.recv().expect("valid member answers");
+        assert_eq!(second.id, 1);
+        assert!(second.result.is_ok());
+        let m = e.metrics();
+        assert_eq!((m.worker_panics, m.responses, m.errors), (0, 4, 3));
     }
 
     /// The tentpole acceptance shape at engine scope: a pool sweep over

@@ -35,6 +35,10 @@ pub enum ServiceError {
     /// objective whose target period string is malformed, zero or
     /// infinite (no finite throughput constraint to optimize under).
     InvalidObjective,
+    /// A task weight was zero, or a core type's weight total does not fit
+    /// in a `u64` (the chain model needs positive weights and exact
+    /// prefix sums).
+    InvalidWeights,
     /// An internal invariant was violated (a worker panicked, a channel
     /// closed unexpectedly, ...). Carries a diagnostic message.
     Internal(String),
@@ -53,6 +57,7 @@ impl ServiceError {
             ServiceError::ShuttingDown => "SHUTTING_DOWN",
             ServiceError::NoWorkers => "NO_WORKERS",
             ServiceError::InvalidObjective => "INVALID_OBJECTIVE",
+            ServiceError::InvalidWeights => "INVALID_WEIGHTS",
             ServiceError::Internal(_) => "INTERNAL",
         }
     }
@@ -83,6 +88,12 @@ impl std::fmt::Display for ServiceError {
                 write!(
                     f,
                     "objective is malformed (energy target must be a finite nonzero period)"
+                )
+            }
+            ServiceError::InvalidWeights => {
+                write!(
+                    f,
+                    "task weights must be positive and sum to at most 2^64 - 1 per core type"
                 )
             }
             ServiceError::Internal(msg) => write!(f, "internal error: {msg}"),

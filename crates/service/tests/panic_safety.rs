@@ -18,11 +18,11 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use amp_core::sched::{SchedScratch, Scheduler};
+use amp_core::sched::{Fertac, SchedScratch, Scheduler};
 use amp_core::{Resources, Solution, Task, TaskChain};
 use amp_service::{
-    Engine, EngineConfig, Policy, PortfolioConfig, ScheduleRequest, ServiceError, StrategyWrap,
-    TierFaultHook,
+    Engine, EngineConfig, Policy, PortfolioConfig, ScheduleOutcome, ScheduleRequest, ServiceError,
+    StrategyWrap, TierFaultHook,
 };
 use crossbeam::channel;
 
@@ -242,6 +242,115 @@ fn always_panicking_strategy_yields_all_internal_errors() {
         ok.result.is_ok(),
         "engine must serve again once chaos stops"
     );
+    engine.shutdown();
+}
+
+/// A batch member is isolated like a single request: a strategy that
+/// panics on one pool only fails that member, the other members of the
+/// same batch match a direct solve, and exactly one panic is counted.
+#[test]
+fn batch_panic_fails_only_its_own_member() {
+    const BOMBED: (u64, u64) = (3, 1);
+    struct PoolBomb {
+        inner: Box<dyn Scheduler>,
+    }
+    impl Scheduler for PoolBomb {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn schedule_into(
+            &self,
+            chain: &TaskChain,
+            resources: Resources,
+            scratch: &mut SchedScratch,
+            out: &mut Solution,
+        ) -> bool {
+            if (resources.big, resources.little) == BOMBED {
+                panic!("chaos: injected panic on pool {BOMBED:?}");
+            }
+            self.inner.schedule_into(chain, resources, scratch, out)
+        }
+    }
+    let wrap: StrategyWrap = Arc::new(|inner: Box<dyn Scheduler>| -> Box<dyn Scheduler> {
+        Box::new(PoolBomb { inner })
+    });
+    let engine = chaos_engine(1, wrap);
+    let chain = chain_for(3);
+    let pools = [(1, 1), (2, 2), BOMBED, (2, 3)];
+    let requests = pools
+        .iter()
+        .enumerate()
+        .map(|(id, &(big, little))| {
+            ScheduleRequest::from_chain(
+                id as u64,
+                &chain,
+                Resources::new(big, little),
+                Policy::Strategy("FERTAC".to_string()),
+            )
+        })
+        .collect();
+    let (tx, rx) = channel::unbounded();
+    assert_eq!(engine.try_submit_batch(requests, tx).expect("accepted"), 4);
+    for _ in 0..pools.len() {
+        let response = rx.recv().expect("one response per member");
+        let (big, little) = pools[response.id as usize];
+        match response.result {
+            Err(ServiceError::Internal(msg)) if (big, little) == BOMBED => {
+                assert!(msg.contains("panic"), "unexpected internal error: {msg}");
+            }
+            Ok(outcome) if (big, little) != BOMBED => {
+                let direct = Fertac
+                    .schedule(&chain, Resources::new(big, little))
+                    .expect("feasible");
+                let expect = ScheduleOutcome::from_solution("FERTAC", &direct, &chain, true);
+                assert_eq!(outcome, expect, "pool {big}B+{little}L");
+            }
+            other => panic!("pool {big}B+{little}L answered {other:?}"),
+        }
+    }
+    let m = engine.metrics();
+    assert_eq!(m.worker_panics, 1, "one panicking member, one panic");
+    assert_eq!(m.workers_alive, 1);
+    engine.shutdown();
+}
+
+/// A batch member is looked up in the exact-instance cache once, like
+/// a single request: five fresh members of every policy count five
+/// misses.
+#[test]
+fn batch_members_pay_one_cache_lookup_per_miss() {
+    let engine = Engine::start(EngineConfig {
+        workers: 1,
+        racer_threads: 2,
+        queue_depth: 8,
+        cache_capacity: 64,
+        cache_shards: 1,
+        ..EngineConfig::default()
+    });
+    let policies = [
+        Policy::Strategy("HeRAD".to_string()),
+        Policy::Strategy("FERTAC".to_string()),
+        Policy::Strategy("2CATAC".to_string()),
+        Policy::Strategy("2CATAC".to_string()),
+        Policy::Portfolio,
+    ];
+    let requests: Vec<ScheduleRequest> = policies
+        .into_iter()
+        .enumerate()
+        .map(|(id, policy)| {
+            let id = id as u64;
+            ScheduleRequest::from_chain(id, &chain_for(100 + id), Resources::new(2, 2), policy)
+        })
+        .collect();
+    let n = requests.len();
+    let (tx, rx) = channel::unbounded();
+    assert_eq!(engine.try_submit_batch(requests, tx).expect("accepted"), n);
+    for _ in 0..n {
+        let response = rx.recv().expect("one response per member");
+        assert!(response.result.is_ok(), "{response:?}");
+    }
+    let stats = engine.cache_stats();
+    assert_eq!((stats.hits, stats.misses), (0, n as u64));
     engine.shutdown();
 }
 
