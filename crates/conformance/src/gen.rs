@@ -13,8 +13,13 @@
 //! * shape: single-task chains and zero-core-of-one-type pools appear
 //!   with fixed probability; fully empty pools (the infeasible case) are
 //!   generated occasionally so `None` agreement is also checked.
+//!
+//! [`perf_chains`] draws the scheduler perf workload from the same
+//! generator: the allocation and cold-solve count gates and the release
+//! timing gates all run on it.
 
 use crate::instance::{Instance, TaskDef};
+use amp_core::{Resources, TaskChain};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -135,6 +140,55 @@ pub fn instance_for_seed(seed: u64, cfg: &GenConfig) -> Instance {
     Instance::new(format!("seed-{seed}"), tasks, big, little)
 }
 
+/// The pool every [`perf_chains`] chain is solved on: each cold solve
+/// fills the whole `n·13·13` HeRAD table.
+pub const PERF_POOL: Resources = Resources {
+    big: 12,
+    little: 12,
+};
+
+/// Per-axis core counts of [`perf_grid`].
+pub const PERF_STEPS: [u64; 4] = [3, 6, 9, 12];
+
+/// The scheduler perf workload: the first 8 seeded chains with at least
+/// 8 tasks (`max_tasks` 24, `max_weight` 16), so every solve exercises
+/// the DP table. A pure function of the generator.
+#[must_use]
+pub fn perf_chains() -> Vec<TaskChain> {
+    let cfg = GenConfig {
+        max_tasks: 24,
+        max_weight: 16,
+        // The pools are fixed; these bounds only steer the generator's
+        // rejection loop, and so pin which chains are drawn.
+        max_big: 4,
+        max_little: 4,
+        allow_empty_pool: false,
+    };
+    (0u64..)
+        .map(|seed| instance_for_seed(seed, &cfg))
+        .filter(|inst| inst.len() >= 8)
+        .take(8)
+        .map(|inst| inst.chain())
+        .collect()
+}
+
+/// Every chain at every `(b, ℓ) ∈ PERF_STEPS²`, chain-major with pools
+/// ascending: the Table II / campaign sweep order that one keyed HeRAD
+/// table answers with one cold solve per chain.
+#[must_use]
+pub fn perf_grid(chains: &[TaskChain]) -> Vec<(&TaskChain, Resources)> {
+    chains
+        .iter()
+        .flat_map(|chain| {
+            PERF_STEPS.iter().flat_map(move |&b| {
+                PERF_STEPS
+                    .iter()
+                    .map(move |&l| (chain, Resources::new(b, l)))
+            })
+        })
+        .collect()
+}
+
 /// A proptest strategy for a single task definition.
 #[must_use]
 pub fn task_strategy(max_weight: u64) -> impl Strategy<Value = TaskDef> {
@@ -196,6 +250,23 @@ pub fn instance_strategy(cfg: GenConfig) -> impl Strategy<Value = Instance> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fixtures_are_deterministic() {
+        let chains = perf_chains();
+        let again = perf_chains();
+        assert_eq!(chains.len(), 8);
+        for (c, d) in chains.iter().zip(&again) {
+            assert_eq!(c.tasks(), d.tasks());
+            assert!((8..=24).contains(&c.len()));
+        }
+        let grid = perf_grid(&chains);
+        assert_eq!(grid.len(), 8 * 16);
+        for (i, &(chain, r)) in grid.iter().enumerate() {
+            assert!(std::ptr::eq(chain, &chains[i / 16]), "chain-major at {i}");
+            assert_eq!(r, Resources::new(PERF_STEPS[i / 4 % 4], PERF_STEPS[i % 4]));
+        }
+    }
 
     #[test]
     fn seeded_generation_is_deterministic() {

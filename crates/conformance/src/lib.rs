@@ -30,12 +30,15 @@
 //!   proptest engine has no shrinking);
 //! * [`corpus`] + [`json`] — a checked-in regression corpus of JSON
 //!   instances, replayed on every run, with a self-contained canonical
-//!   JSON codec (the build has no `serde_json`).
+//!   JSON codec (the build has no `serde_json`);
+//! * [`alloc_track`] — a counting global allocator for the
+//!   allocation-regression tests here and in `amp-net`.
 //!
 //! The [`runner`] module ties the layers into the `conformance` binary:
 //! corpus replay first, then seeded fuzzing, shrinking and optionally
 //! persisting every failure.
 
+pub mod alloc_track;
 pub mod chaos;
 pub mod checks;
 pub mod corpus;

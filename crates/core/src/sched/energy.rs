@@ -130,15 +130,14 @@ fn minimal_cores(
     if avail == 0 {
         return None;
     }
-    let w1 = chain.stage_weight(start, end, 1, v);
-    let r = if w1 <= target {
+    let r = if chain.stage_weight_le(start, end, 1, v, target) {
         1
     } else if chain.is_replicable(start, end) {
         required_cores(chain, start, end, v, target)
     } else {
         return None; // sequential interval above target: replication can't help
     };
-    (r <= avail && chain.stage_weight(start, end, r, v) <= target).then_some(r)
+    (r <= avail && chain.stage_weight_le(start, end, r, v, target)).then_some(r)
 }
 
 /// One DP cell: minimal energy to cover a task prefix within a core

@@ -86,6 +86,21 @@ pub enum Pruning {
 /// cost of spawning scoped workers and crossing per-layer barriers.
 const PAR_MIN_CELLS: usize = 1 << 15;
 
+/// The most cells [`Herad::fill`] grows a table to, and the most a
+/// service request may make HeRAD or `EnergyDp` build: 80 MB of HeRAD
+/// cells. It admits the largest figure instance, Fig. 3's 160 tasks on
+/// 100+100 cores (1 632 160 cells).
+pub const MAX_TABLE_CELLS: usize = 1 << 21;
+
+/// Cells of a DP table with `rows` layers over `resources`,
+/// `rows·(B+1)·(L+1)`, or `None` when that overflows `usize`.
+#[must_use]
+pub fn table_cells(rows: usize, resources: Resources) -> Option<usize> {
+    let side = |cores: u64| usize::try_from(cores).ok()?.checked_add(1);
+    rows.checked_mul(side(resources.big)?)?
+        .checked_mul(side(resources.little)?)
+}
+
 /// `std::thread::available_parallelism`, resolved once per process —
 /// [`Herad::new`] is constructed on hot paths (per request in the
 /// service), so the syscall must not repeat.
@@ -194,11 +209,14 @@ impl Herad {
     /// Brings `table` to cover `chain` on `resources` under this
     /// scheduler's pruning, and reports how. A table keyed to the chain
     /// and pruning that covers the pool is left as it is; one keyed to
-    /// them at a smaller pool grows in place by the pool delta; anything
-    /// else is rebuilt at exactly this pool, in the table's own cell and
-    /// key buffers. Growing and rebuilding run with the key cleared, so a
-    /// fill that unwinds leaves a table that matches no chain, and the
-    /// next fill rebuilds it.
+    /// them at a smaller pool grows in place by the pool delta, unless the
+    /// grown table would pass [`MAX_TABLE_CELLS`]; anything else is
+    /// rebuilt at exactly this pool, in the table's own cell and key
+    /// buffers. Cells are pool-independent, so that rebuild answers as the
+    /// grow would have, and two skewed pools such as `(n, 0)` and `(0, n)`
+    /// never swell the table to their `(n, n)` union. Growing and
+    /// rebuilding run with the key cleared, so a fill that unwinds leaves
+    /// a table that matches no chain, and the next fill rebuilds it.
     pub fn fill(
         &self,
         table: &mut ChainTable,
@@ -219,12 +237,21 @@ impl Herad {
         resources: Resources,
         before: impl FnOnce(TableFill),
     ) -> TableFill {
+        let (b0, l0) = table.dims();
         let fill = if table.pruning != self.pruning || !table.matches(chain) {
             TableFill::Cold
         } else if table.covers(resources) {
             TableFill::Extracted
         } else {
-            TableFill::Grown
+            let union = Resources::new(
+                resources.big.max(b0 as u64),
+                resources.little.max(l0 as u64),
+            );
+            if table_cells(chain.len(), union).is_some_and(|c| c <= MAX_TABLE_CELLS) {
+                TableFill::Grown
+            } else {
+                TableFill::Cold
+            }
         };
         if fill == TableFill::Extracted {
             before(fill);
@@ -235,10 +262,10 @@ impl Herad {
         let b = usize::try_from(resources.big).expect("core count fits usize");
         let l = usize::try_from(resources.little).expect("core count fits usize");
         if fill == TableFill::Grown {
-            let (b0, l0) = table.dims();
             table.table.grow(chain, b.max(b0), l.max(l0), self.pruning);
         } else {
-            let cells = chain.len() * (b + 1) * (l + 1);
+            let cells =
+                table_cells(chain.len(), resources).expect("HeRAD table size overflows usize");
             let workers = self.kernel_workers(cells);
             table.table.rebuild(chain, b, l, self.pruning, workers);
             table.pruning = self.pruning;
@@ -907,8 +934,9 @@ pub enum TableFill {
     Extracted,
     /// The table grew by the pool delta first.
     Grown,
-    /// The table held another chain or pruning, or none at all: a full
-    /// rebuild at exactly the requested pool.
+    /// The table held another chain or pruning, or none at all, or
+    /// growing it would pass [`MAX_TABLE_CELLS`]: a full rebuild at
+    /// exactly the requested pool.
     Cold,
 }
 
@@ -969,10 +997,11 @@ impl ChainTable {
         self.table.covers(self.tasks.len(), b, l)
     }
 
-    /// Extends the solved region to cover `resources` via the pool-delta
-    /// driver (dimensions only grow, never shrink), under the table's own
-    /// pruning. The caller must pass the same chain the table was solved
-    /// for.
+    /// Extends the solved region to cover `resources` by a pool-delta
+    /// grow under the table's own pruning: dimensions only grow, unless
+    /// growing would pass [`MAX_TABLE_CELLS`] and [`Herad::fill`] rebuilds
+    /// at `resources` instead. The caller must pass the same chain the
+    /// table was solved for.
     pub fn grow_to(&mut self, chain: &TaskChain, resources: Resources) {
         debug_assert!(self.matches(chain), "grow_to keeps the chain");
         Herad::with_pruning(self.pruning).fill(self, chain, resources);
@@ -1795,6 +1824,28 @@ mod tests {
         let r = Resources::new(4, 3);
         let warm = table.extract(&c, r, &mut out).then(|| out.clone());
         assert_eq!(warm, herad.schedule(&c, r));
+    }
+
+    /// Two skewed pools of one chain would grow the table to their union,
+    /// `2·2001²` cells; past the bound the fill rebuilds at the second
+    /// pool instead, and answers as a fresh solve does.
+    #[test]
+    fn skewed_pools_rebuild_instead_of_growing_past_the_cell_bound() {
+        let c = TaskChain::new(vec![Task::new(3, 5, true), Task::new(2, 4, false)]);
+        let herad = Herad::new();
+        let mut table = ChainTable::default();
+        let mut out = Solution::empty();
+        for (r, how) in [
+            (Resources::new(2000, 0), TableFill::Cold),
+            (Resources::new(0, 2000), TableFill::Cold),
+        ] {
+            assert_eq!(herad.fill(&mut table, &c, r), how, "fill at {r}");
+            assert!(table.cell_count() <= MAX_TABLE_CELLS, "{:?}", table.dims());
+            let warm = table.extract(&c, r, &mut out).then(|| out.clone());
+            assert_eq!(warm, herad.schedule(&c, r), "diverges at {r}");
+        }
+        assert_eq!(table.dims(), (0, 2000));
+        assert_eq!(table_cells(2, Resources::new(u64::MAX, 0)), None);
     }
 
     #[test]

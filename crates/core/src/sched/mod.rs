@@ -27,7 +27,9 @@ pub use energy::{
     pareto_front, EnergyDp, EnergyFertac, EnergyScheduler, EnergyTwocatac, ParetoPoint,
 };
 pub use fertac::Fertac;
-pub use herad::{ChainTable, ChainTableError, Herad, Pruning, TableFill};
+pub use herad::{
+    table_cells, ChainTable, ChainTableError, Herad, Pruning, TableFill, MAX_TABLE_CELLS,
+};
 pub use otac::Otac;
 pub use scratch::SchedScratch;
 pub use twocatac::Twocatac;

@@ -519,3 +519,40 @@ fn zero_weight_frame_is_typed_and_spares_its_pipelined_neighbor() {
     drop(stream);
     server.shutdown();
 }
+
+/// A HeRAD frame on 2²⁰ + 2²⁰ cores would make the server allocate an
+/// 88 TB DP table, and a failed allocation aborts the process. It gets
+/// the typed `POOL_TOO_LARGE`, and the next frame on the same connection
+/// is answered.
+#[test]
+fn oversized_pool_frame_is_typed_and_the_server_keeps_serving() {
+    let server = Server::start(small_server_config()).expect("server");
+    let (mut stream, mut reader) = connect(&server);
+    let huge = ScheduleRequest {
+        big_cores: 1 << 20,
+        little_cores: 1 << 20,
+        policy: Policy::Strategy("HeRAD".to_string()),
+        ..request(1, 0)
+    };
+    send_line(
+        &mut stream,
+        &amp_net::proto::render_request(&huge, "public"),
+    );
+    let (id, result) = read_response(&mut reader);
+    assert_eq!(id, Some(1));
+    assert_eq!(result.expect_err("pool too large"), "POOL_TOO_LARGE");
+
+    send_line(
+        &mut stream,
+        &amp_net::proto::render_request(&request(2, 0), "public"),
+    );
+    let (id, result) = read_response(&mut reader);
+    assert_eq!(id, Some(2));
+    assert!(
+        result.is_ok(),
+        "the server must survive the oversized frame"
+    );
+
+    drop(stream);
+    server.shutdown();
+}

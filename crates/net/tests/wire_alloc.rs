@@ -15,7 +15,7 @@
 
 use std::io::{self, IoSlice, Write};
 
-use amp_bench::alloc_track::{count_thread_allocs, TrackingAllocator};
+use amp_conformance::alloc_track::{count_thread_allocs, TrackingAllocator};
 use amp_core::sched::Scheduler;
 use amp_core::{Resources, Task, TaskChain};
 use amp_net::proto::{parse_request, render_error_line, render_request, render_response_line};

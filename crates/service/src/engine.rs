@@ -64,8 +64,8 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use amp_core::sched::{
-    energy_strategy_by_name, strategy_by_name, EnergyDp, EnergyFertac, EnergyScheduler,
-    EnergyTwocatac, SchedScratch,
+    energy_strategy_by_name, strategy_by_name, table_cells, EnergyDp, EnergyFertac,
+    EnergyScheduler, EnergyTwocatac, SchedScratch, MAX_TABLE_CELLS,
 };
 use amp_core::{MilliPower, Ratio, Resources, Solution, TaskChain};
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
@@ -576,6 +576,24 @@ fn weights_are_valid(tasks: &[TaskSpec]) -> bool {
         && fits(|t| t.weight_little)
 }
 
+/// `true` when the request would run HeRAD (the period objective's
+/// `HeRAD` strategy or portfolio) or `EnergyDP` (the energy objective's
+/// `EnergyDP` strategy or portfolio) on a table past [`MAX_TABLE_CELLS`].
+/// Such a table fails to allocate, and a failed allocation aborts the
+/// process, which no `catch_unwind` can stop.
+fn table_too_large(request: &ScheduleRequest) -> bool {
+    let (dp, rows) = if request.objective.is_period() {
+        ("HeRAD", request.tasks.len())
+    } else {
+        ("EnergyDP", request.tasks.len() + 1)
+    };
+    let runs_dp = match &request.policy {
+        Policy::Portfolio => true,
+        Policy::Strategy(name) => name == dp,
+    };
+    runs_dp && table_cells(rows, request.resources()).is_none_or(|c| c > MAX_TABLE_CELLS)
+}
+
 impl Shared {
     /// Runs one request's compute under panic isolation: an unwinding
     /// strategy (or any compute-path bug) still yields exactly one typed
@@ -610,6 +628,9 @@ impl Shared {
         }
         if !weights_are_valid(&request.tasks) {
             return Err(ServiceError::InvalidWeights);
+        }
+        if table_too_large(request) {
+            return Err(ServiceError::PoolTooLarge);
         }
         let key = CacheKey::for_request(request);
         if let Some(hit) = self.cache.get(&key) {
@@ -1392,6 +1413,60 @@ mod tests {
         assert!(second.result.is_ok());
         let m = e.metrics();
         assert_eq!((m.worker_panics, m.responses, m.errors), (0, 4, 3));
+    }
+
+    /// Two shapes of request that abort the process unless table sizes
+    /// are bounded: HeRAD on 2²⁰ + 2²⁰ cores needs an 88 TB table, and two
+    /// skewed pools that each fit would grow the chain's tier table to
+    /// their union, 2·100 001² cells. A pool past the cell bound is a
+    /// typed `PoolTooLarge` for HeRAD, `EnergyDP` and both portfolios,
+    /// greedy strategies still answer it, the skewed pair costs two cold
+    /// solves, and the worker keeps serving.
+    #[test]
+    fn huge_pools_are_answered_and_the_worker_keeps_serving() {
+        let e = engine(1);
+        let skewed = TaskChain::new(vec![Task::new(3, 5, true), Task::new(2, 4, false)]);
+        let request = |id, big, little, policy: Policy, objective: &Objective| {
+            ScheduleRequest::from_chain(id, &skewed, Resources::new(big, little), policy)
+                .with_objective(objective.clone())
+        };
+        let strategy = |name: &str| Policy::Strategy(name.to_string());
+        let period = Objective::Period;
+        let energy = Objective::min_energy(Ratio::from_int(4));
+        let huge = 1 << 20;
+        for (policy, objective, too_large) in [
+            (strategy("HeRAD"), &period, true),
+            (Policy::Portfolio, &period, true),
+            (strategy("EnergyDP"), &energy, true),
+            (Policy::Portfolio, &energy, true),
+            (strategy("FERTAC"), &period, false),
+            (strategy("EnergyFERTAC"), &energy, false),
+        ] {
+            let what = format!("{policy:?} {objective:?}");
+            let result = e
+                .schedule_blocking(request(1, huge, huge, policy, objective))
+                .result;
+            if too_large {
+                assert_eq!(result, Err(ServiceError::PoolTooLarge), "{what}");
+            } else {
+                assert!(result.is_ok(), "{what}: {result:?}");
+            }
+        }
+        for (id, big, little) in [(2, 100_000, 0), (3, 0, 100_000)] {
+            let result = e
+                .schedule_blocking(request(id, big, little, strategy("HeRAD"), &period))
+                .result;
+            assert!(result.is_ok(), "({big}, {little}): {result:?}");
+        }
+        assert_eq!(e.tier_stats().cold_solves, 2);
+        let normal = ScheduleRequest::from_chain(
+            4,
+            &chain(),
+            Resources::new(2, 2),
+            Policy::Strategy("HeRAD".to_string()),
+        );
+        assert!(e.schedule_blocking(normal).result.is_ok());
+        assert_eq!(e.metrics().worker_panics, 0);
     }
 
     /// The tentpole acceptance shape at engine scope: a pool sweep over

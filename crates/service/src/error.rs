@@ -39,6 +39,10 @@ pub enum ServiceError {
     /// in a `u64` (the chain model needs positive weights and exact
     /// prefix sums).
     InvalidWeights,
+    /// The request would run HeRAD or `EnergyDP` on a DP table past
+    /// [`MAX_TABLE_CELLS`](amp_core::sched::MAX_TABLE_CELLS) cells: the
+    /// pool is too large for the chain's length.
+    PoolTooLarge,
     /// An internal invariant was violated (a worker panicked, a channel
     /// closed unexpectedly, ...). Carries a diagnostic message.
     Internal(String),
@@ -58,6 +62,7 @@ impl ServiceError {
             ServiceError::NoWorkers => "NO_WORKERS",
             ServiceError::InvalidObjective => "INVALID_OBJECTIVE",
             ServiceError::InvalidWeights => "INVALID_WEIGHTS",
+            ServiceError::PoolTooLarge => "POOL_TOO_LARGE",
             ServiceError::Internal(_) => "INTERNAL",
         }
     }
@@ -96,6 +101,11 @@ impl std::fmt::Display for ServiceError {
                     "task weights must be positive and sum to at most 2^64 - 1 per core type"
                 )
             }
+            ServiceError::PoolTooLarge => write!(
+                f,
+                "resource pool too large: the DP table would pass {} cells",
+                amp_core::sched::MAX_TABLE_CELLS
+            ),
             ServiceError::Internal(msg) => write!(f, "internal error: {msg}"),
         }
     }
@@ -120,6 +130,7 @@ mod tests {
             ServiceError::ShuttingDown,
             ServiceError::NoWorkers,
             ServiceError::InvalidObjective,
+            ServiceError::PoolTooLarge,
             ServiceError::Internal("boom".to_string()),
         ];
         let codes: Vec<&str> = all.iter().map(ServiceError::code).collect();
@@ -134,6 +145,7 @@ mod tests {
                 "SHUTTING_DOWN",
                 "NO_WORKERS",
                 "INVALID_OBJECTIVE",
+                "POOL_TOO_LARGE",
                 "INTERNAL"
             ]
         );
