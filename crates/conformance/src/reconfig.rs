@@ -18,7 +18,7 @@ use crate::checks::Mismatch;
 use crate::instance::Instance;
 use amp_core::sched::{ChainTable, Herad, Scheduler};
 use amp_core::{Ratio, Resources, Solution};
-use amp_sim::{simulate_reconfig, SimConfig};
+use amp_sim::{simulate_reconfig, ReconfigSimReport, SimConfig};
 
 /// Frames pushed through the simulated migration script.
 const SIM_FRAMES: u64 = 400;
@@ -119,14 +119,26 @@ pub fn check_reconfig(inst: &Instance) -> Vec<Mismatch> {
         &steps,
         &SimConfig::with_frames(SIM_FRAMES),
     );
+    out.extend(check_departures(inst, &report, steps.len()));
+    out
+}
+
+/// The `RECONF_LOST` checks on a simulated migration script of
+/// `migrations` steps over [`SIM_FRAMES`] frames: one departure per
+/// frame, in non-decreasing time order, and one boundary per migration.
+fn check_departures(
+    inst: &Instance,
+    report: &ReconfigSimReport,
+    migrations: usize,
+) -> Vec<Mismatch> {
+    let mut out = Vec::new();
     if report.departures.len() as u64 != SIM_FRAMES {
         out.push(Mismatch::new(
             "RECONF_LOST",
             inst,
             format!(
-                "{} departures for {SIM_FRAMES} frames across {} migration(s)",
+                "{} departures for {SIM_FRAMES} frames across {migrations} migration(s)",
                 report.departures.len(),
-                steps.len()
             ),
         ));
     }
@@ -142,14 +154,13 @@ pub fn check_reconfig(inst: &Instance) -> Vec<Mismatch> {
             ),
         ));
     }
-    if report.boundaries.len() != steps.len() {
+    if report.boundaries.len() != migrations {
         out.push(Mismatch::new(
             "RECONF_LOST",
             inst,
             format!(
-                "{} boundaries reported for {} migration step(s)",
+                "{} boundaries reported for {migrations} migration step(s)",
                 report.boundaries.len(),
-                steps.len()
             ),
         ));
     }
@@ -181,6 +192,51 @@ mod tests {
         let inst = Instance::new("starved", vec![TaskDef::new(3, 6, true)], 0, 0);
         // The original pool is infeasible; only the grown step schedules.
         assert_eq!(check_reconfig(&inst), vec![]);
+    }
+
+    /// Each departure fault the battery guards must trip `RECONF_LOST`.
+    #[test]
+    fn dropped_swapped_and_unmarked_departures_trip_reconf_lost() {
+        let inst = Instance::new(
+            "faults",
+            vec![TaskDef::new(10, 25, false), TaskDef::new(40, 90, true)],
+            2,
+            2,
+        );
+        let chain = inst.chain();
+        let herad = Herad::new();
+        let (wide, narrow) = (Resources::new(2, 2), Resources::new(1, 1));
+        let steps = vec![(SIM_FRAMES / 2, herad.schedule(&chain, narrow).unwrap())];
+        let clean = simulate_reconfig(
+            &chain,
+            &herad.schedule(&chain, wide).unwrap(),
+            &steps,
+            &SimConfig::with_frames(SIM_FRAMES),
+        );
+        assert_eq!(check_departures(&inst, &clean, steps.len()), vec![]);
+
+        let codes = |report: &ReconfigSimReport| -> Vec<&'static str> {
+            check_departures(&inst, report, steps.len())
+                .iter()
+                .map(|m| m.code)
+                .collect()
+        };
+        let mut dropped = clean.clone();
+        dropped.departures.remove(SIM_FRAMES as usize / 3);
+        assert_eq!(codes(&dropped), vec!["RECONF_LOST"]);
+
+        let mut swapped = clean.clone();
+        let at = swapped
+            .departures
+            .windows(2)
+            .position(|w| w[0] < w[1])
+            .expect("departures advance");
+        swapped.departures.swap(at, at + 1);
+        assert_eq!(codes(&swapped), vec!["RECONF_LOST"]);
+
+        let mut unmarked = clean;
+        unmarked.boundaries.pop();
+        assert_eq!(codes(&unmarked), vec!["RECONF_LOST"]);
     }
 
     #[test]

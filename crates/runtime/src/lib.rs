@@ -61,6 +61,7 @@ mod adaptor;
 mod pipeline;
 mod profiler;
 mod report;
+mod sink;
 mod spin;
 mod vcore;
 mod work;

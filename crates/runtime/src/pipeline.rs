@@ -11,6 +11,7 @@
 
 use crate::adaptor::OrderedRing;
 use crate::report::{ReconfigEvent, RunReport, StageRuntimeReport};
+use crate::sink::SinkRecord;
 use crate::vcore::VirtualMachine;
 use crate::work::TaskWork;
 use amp_core::sched::{schedule_diff, ChainTable, Herad, ScheduleDiff};
@@ -68,6 +69,10 @@ pub enum RuntimeError {
     /// The pipeline already ran to completion; there is nothing left to
     /// reconfigure.
     Terminated,
+    /// [`RunConfig::queue_capacity`] is 0: no frame could ever enter an
+    /// adaptor. Refused at launch even for a single-stage solution, since
+    /// a later reconfiguration may need adaptors.
+    ZeroQueueCapacity,
 }
 
 impl fmt::Display for RuntimeError {
@@ -88,6 +93,7 @@ impl fmt::Display for RuntimeError {
                 write!(f, "the chain cannot be scheduled on the offered pool")
             }
             RuntimeError::Terminated => write!(f, "the pipeline already ran to completion"),
+            RuntimeError::ZeroQueueCapacity => write!(f, "queue capacity must be at least 1"),
         }
     }
 }
@@ -101,7 +107,8 @@ pub struct RunConfig {
     pub frames: Option<u64>,
     /// Stop the source after this wall-clock duration (`None` = none).
     pub max_duration: Option<Duration>,
-    /// Capacity of each inter-stage adaptor, in frames.
+    /// Capacity of each inter-stage adaptor, in frames. Must be at least
+    /// 1: a launch refuses 0 with [`RuntimeError::ZeroQueueCapacity`].
     pub queue_capacity: u64,
     /// Leading fraction of sink departures excluded from the steady-state
     /// throughput measurement.
@@ -198,8 +205,9 @@ struct Control<D> {
     stop: AtomicBool,
     /// Next frame for the source stage to claim.
     claim: AtomicU64,
-    /// Sink departures `(frame, nanos since start)` across all epochs.
-    sink: Mutex<Vec<(u64, u64)>>,
+    /// Sink departures across all epochs, timed in nanoseconds since the
+    /// run started.
+    sink: Mutex<SinkRecord>,
 }
 
 /// Executes one worker's role for one epoch, then returns so the worker
@@ -230,10 +238,11 @@ fn run_role<D: Send + 'static>(
     };
     let deliver = |seq: u64, data: D| match &ring_out {
         Some(out) => out.push(seq, data),
-        None => control
-            .sink
-            .lock()
-            .push((seq, start.elapsed().as_nanos() as u64)),
+        None => {
+            // Timed under the lock, so departures arrive in time order.
+            let mut sink = control.sink.lock();
+            sink.depart(seq, start.elapsed().as_nanos() as u64);
+        }
     };
     match &ring_in {
         None => loop {
@@ -432,7 +441,7 @@ impl<D: Send + 'static> RunningPipeline<D> {
     /// Frames that have reached the sink so far.
     #[must_use]
     pub fn frames_done(&self) -> u64 {
-        self.control.sink.lock().len() as u64
+        self.control.sink.lock().departures()
     }
 
     fn apply(
@@ -505,6 +514,7 @@ impl<D: Send + 'static> RunningPipeline<D> {
             self.control.done_cv.notify_all();
             return Err(RuntimeError::Terminated);
         }
+        self.control.sink.lock().mark_boundary(base);
 
         // Re-wire: fresh adaptors based at the boundary, new roles.
         let stages = new_solution.stages().to_vec();
@@ -612,12 +622,11 @@ impl<D: Send + 'static> RunningPipeline<D> {
             watchdog.join().expect("watchdog panicked");
         }
         let elapsed = self.start.elapsed();
-        let mut departures = std::mem::take(&mut *self.control.sink.lock());
-        departures.sort_unstable();
+        let sink = self.control.sink.lock();
         let mut events = self.events.into_inner();
-        fill_sink_gaps(&mut events, &departures);
+        fill_sink_gaps(&mut events, &sink);
         build_report(
-            &departures,
+            &sink,
             elapsed,
             &final_plan,
             self.config.warmup_fraction,
@@ -677,6 +686,9 @@ impl<D: Send + 'static> PipelineSpec<D> {
         machine: &VirtualMachine,
         config: &RunConfig,
     ) -> Result<RunningPipeline<D>, RuntimeError> {
+        if config.queue_capacity == 0 {
+            return Err(RuntimeError::ZeroQueueCapacity);
+        }
         if self.tasks.len() != chain.len() {
             return Err(RuntimeError::ChainMismatch {
                 spec: self.tasks.len(),
@@ -737,7 +749,7 @@ impl<D: Send + 'static> PipelineSpec<D> {
             done_cv: Condvar::new(),
             stop: AtomicBool::new(false),
             claim: AtomicU64::new(0),
-            sink: Mutex::new(Vec::new()),
+            sink: Mutex::new(SinkRecord::new()),
         });
         let works: Arc<Vec<Arc<dyn TaskWork<D>>>> =
             Arc::new(self.tasks.iter().map(|t| t.work.clone()).collect());
@@ -792,26 +804,23 @@ impl<D: Send + 'static> PipelineSpec<D> {
 
 /// Fills each event's sink-observed downtime: the departure gap between
 /// the last frame of the old epoch and the first frame of the new one.
-fn fill_sink_gaps(events: &mut [ReconfigEvent], departures: &[(u64, u64)]) {
+fn fill_sink_gaps(events: &mut [ReconfigEvent], sink: &SinkRecord) {
     for event in events {
-        let b = event.boundary_frame;
-        if b == 0 || b as usize >= departures.len() {
-            continue;
+        if let Some(gap) = sink.gap_nanos(event.boundary_frame) {
+            event.sink_gap_us = gap as f64 / 1e3;
         }
-        let (before, after) = (departures[b as usize - 1].1, departures[b as usize].1);
-        event.sink_gap_us = after.saturating_sub(before) as f64 / 1e3;
     }
 }
 
 fn build_report<D>(
-    departures: &[(u64, u64)],
+    sink: &SinkRecord,
     elapsed: Duration,
     final_plan: &EpochPlan<D>,
     warmup_fraction: f64,
     epochs: u64,
     reconfigs: Vec<ReconfigEvent>,
 ) -> RunReport {
-    let frames = departures.len() as u64;
+    let frames = sink.departures();
     let elapsed_seconds = elapsed.as_secs_f64();
     let fps_total = if elapsed_seconds > 0.0 {
         frames as f64 / elapsed_seconds
@@ -831,13 +840,12 @@ fn build_report<D>(
     };
     let (fps, period_us, steady_state_valid) = if frames >= 2 {
         // Replicated sink stages may complete frames slightly out of
-        // sequence order; measure inter-departure gaps over time order.
-        let mut times: Vec<u64> = departures.iter().map(|&(_, t)| t).collect();
-        times.sort_unstable();
-        let warm = ((frames as f64) * warmup_fraction).floor() as usize;
-        let warm = warm.min(times.len() - 2);
-        let dt_nanos = times[times.len() - 1] - times[warm];
-        let n = (times.len() - 1 - warm) as f64;
+        // sequence order; measure inter-departure gaps over time order,
+        // from the warm-up cut rounded down to the record's sample grid.
+        let warm = ((frames as f64) * warmup_fraction).floor() as u64;
+        let (cut, cut_nanos) = sink.sample_at_or_before(warm.min(frames - 2));
+        let dt_nanos = sink.last_nanos() - cut_nanos;
+        let n = (frames - 1 - cut) as f64;
         if dt_nanos > 0 {
             let period = dt_nanos as f64 / n; // ns per frame
             (1e9 / period, period / 1e3, true)
@@ -887,6 +895,7 @@ fn build_report<D>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sink::MAX_SAMPLES;
     use crate::vcore::VirtualMachine;
     use crate::work::{FnWork, WeightedWork};
     use amp_core::sched::{Herad, Scheduler};
@@ -1181,5 +1190,321 @@ mod tests {
         assert_eq!(r.frames, 400);
         assert_eq!(r.epochs, 1);
         assert!(r.reconfigs.is_empty());
+    }
+
+    /// Runs `f` on a thread of its own and fails if it panics or is still
+    /// running after `deadline`, so a hang fails instead of blocking.
+    fn within<T: Send + 'static>(deadline: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx.recv_timeout(deadline)
+            .expect("panicked or still running at the deadline")
+    }
+
+    #[test]
+    fn zero_queue_capacity_is_refused_at_launch() {
+        let zero = RunConfig {
+            queue_capacity: 0,
+            ..RunConfig::with_frames(50)
+        };
+        let outcome = within(Duration::from_secs(20), move || {
+            // Two stages need an adaptor.
+            let chain = chain_replicable(2);
+            let spec = spec_counting(2);
+            let two = Solution::new(vec![
+                Stage::new(0, 0, 1, CoreType::Big),
+                Stage::new(1, 1, 1, CoreType::Big),
+            ]);
+            let machine = VirtualMachine::new(Resources::new(2, 0));
+            let launched = spec.launch(&chain, &two, &machine, &zero).err();
+            let ran = spec.run(&chain, &two, &machine, &zero).err();
+
+            // One stage needs none, but a migration to two stages does.
+            let seq_chain = TaskChain::new(vec![Task::new(10, 20, false); 2]);
+            let noop = |_: u64, _: &mut Vec<u64>, _: CoreType| {};
+            let seq_spec = PipelineSpec::new(
+                Arc::new(|_| Vec::new()),
+                vec![
+                    RuntimeTask::new("a", false, FnWork(noop)),
+                    RuntimeTask::new("b", false, FnWork(noop)),
+                ],
+            );
+            let one = Solution::new(vec![Stage::new(0, 1, 1, CoreType::Big)]);
+            let one_big = VirtualMachine::new(Resources::new(1, 0));
+            let single = match seq_spec.launch(&seq_chain, &one, &one_big, &zero) {
+                Err(e) => Some(e),
+                Ok(live) => {
+                    // Accepting the launch let this migration panic with
+                    // the source paused, and `join` then never returned.
+                    let two_big = VirtualMachine::new(Resources::new(2, 0));
+                    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        live.reconfigure(&two_big)
+                    }));
+                    let _ = live.join();
+                    None
+                }
+            };
+            (launched, ran, single)
+        });
+        let refused = Some(RuntimeError::ZeroQueueCapacity);
+        assert_eq!(outcome, (refused.clone(), refused.clone(), refused));
+    }
+
+    /// The `Vec`-based `fill_sink_gaps` the sink record replaced: the
+    /// oracle of the record's sink gaps. `departures` is sorted by frame.
+    fn oracle_fill_sink_gaps(events: &mut [ReconfigEvent], departures: &[(u64, u64)]) {
+        for event in events {
+            let b = event.boundary_frame;
+            if b == 0 || b as usize >= departures.len() {
+                continue;
+            }
+            let (before, after) = (departures[b as usize - 1].1, departures[b as usize].1);
+            event.sink_gap_us = after.saturating_sub(before) as f64 / 1e3;
+        }
+    }
+
+    /// The `Vec`-based steady-state arithmetic of `build_report`:
+    /// `(frames, fps, period_us, steady_state_valid)`.
+    fn oracle_steady_state(
+        departures: &[(u64, u64)],
+        elapsed: Duration,
+        warmup_fraction: f64,
+    ) -> (u64, f64, f64, bool) {
+        let frames = departures.len() as u64;
+        let elapsed_seconds = elapsed.as_secs_f64();
+        let fps_total = if elapsed_seconds > 0.0 {
+            frames as f64 / elapsed_seconds
+        } else {
+            0.0
+        };
+        let fallback = || {
+            let period = if fps_total > 0.0 {
+                1e6 / fps_total
+            } else {
+                0.0
+            };
+            (fps_total, period, false)
+        };
+        let (fps, period_us, steady_state_valid) = if frames >= 2 {
+            let mut times: Vec<u64> = departures.iter().map(|&(_, t)| t).collect();
+            times.sort_unstable();
+            let warm = ((frames as f64) * warmup_fraction).floor() as usize;
+            let warm = warm.min(times.len() - 2);
+            let dt_nanos = times[times.len() - 1] - times[warm];
+            let n = (times.len() - 1 - warm) as f64;
+            if dt_nanos > 0 {
+                let period = dt_nanos as f64 / n;
+                (1e9 / period, period / 1e3, true)
+            } else {
+                fallback()
+            }
+        } else {
+            fallback()
+        };
+        (frames, fps, period_us, steady_state_valid)
+    }
+
+    /// Sink departures `(frame, nanos)` in time order: frames `0..n`,
+    /// epochs split at `boundaries` with a drain barrier between them,
+    /// neighbours inside an epoch swapped at random (a replicated sink),
+    /// and times non-decreasing with ties.
+    fn synthetic_departures(n: u64, boundaries: &[u64], seed: u64) -> Vec<(u64, u64)> {
+        let mut rng = seed;
+        let mut draw = move || {
+            rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (rng ^ (rng >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut frames: Vec<u64> = (0..n).collect();
+        for i in 1..frames.len() {
+            let crosses = boundaries.contains(&(i as u64));
+            if !crosses && draw() % 4 == 0 {
+                frames.swap(i - 1, i);
+            }
+        }
+        let mut t = 1_000 + draw() % 1_000;
+        frames
+            .into_iter()
+            .map(|f| {
+                t += if boundaries.contains(&f) {
+                    50_000 + draw() % 50_000
+                } else {
+                    draw() % 2_000
+                };
+                (f, t)
+            })
+            .collect()
+    }
+
+    fn report_plan() -> EpochPlan<()> {
+        EpochPlan {
+            stages: vec![Stage::new(0, 0, 1, CoreType::Big)],
+            roles: Vec::new(),
+            rings: Vec::new(),
+            base: 0,
+            limit: u64::MAX,
+            start_nanos: 0,
+            pause: AtomicBool::new(false),
+            active: vec![AtomicUsize::new(0)],
+            busy_nanos: vec![AtomicU64::new(0)],
+            produced: AtomicU64::new(0),
+        }
+    }
+
+    #[test]
+    fn sink_record_matches_the_departure_vector() {
+        let plan = report_plan();
+        let elapsed = Duration::from_millis(1234);
+        for n in [
+            1u64, 2, 3, 5, 17, 100, 1000, 4095, 4096, 4097, 5000, 8192, 8193, 12_289, 100_000,
+            1_000_000,
+        ] {
+            let boundary_sets = [
+                vec![],
+                vec![n / 2],
+                vec![0, n / 3, n / 3, 2 * n / 3, n],
+                vec![1, n.saturating_sub(1)],
+            ]
+            .map(|mut b| {
+                b.sort_unstable();
+                b
+            });
+            for (j, boundaries) in boundary_sets.iter().enumerate() {
+                let stream = synthetic_departures(n, boundaries, n ^ (j as u64) << 40);
+                let mut record = SinkRecord::new();
+                let mut marked = 0;
+                for &(frame, nanos) in &stream {
+                    // The drain barrier: frame b departs after every frame
+                    // below it, and the boundary is marked in between.
+                    while marked < boundaries.len() && boundaries[marked] <= frame {
+                        record.mark_boundary(boundaries[marked]);
+                        marked += 1;
+                    }
+                    record.depart(frame, nanos);
+                    assert!(record.samples_held() <= MAX_SAMPLES);
+                }
+                for &b in &boundaries[marked..] {
+                    record.mark_boundary(b);
+                }
+                let mut by_frame = stream.clone();
+                for &(frame, nanos) in &stream {
+                    by_frame[frame as usize] = (frame, nanos);
+                }
+
+                let event = |b: u64| ReconfigEvent {
+                    epoch: 2,
+                    boundary_frame: b,
+                    downtime_us: 0.0,
+                    sink_gap_us: 0.0,
+                    migrated_stages: 1,
+                    unchanged_stages: 0,
+                    workers_added: 0,
+                    workers_parked: 0,
+                };
+                let mut want: Vec<ReconfigEvent> = boundaries.iter().map(|&b| event(b)).collect();
+                let mut got = want.clone();
+                oracle_fill_sink_gaps(&mut want, &by_frame);
+                fill_sink_gaps(&mut got, &record);
+                for (w, g) in want.iter().zip(&got) {
+                    assert_eq!(
+                        w.sink_gap_us.to_bits(),
+                        g.sink_gap_us.to_bits(),
+                        "n {n}, boundary {}",
+                        w.boundary_frame
+                    );
+                }
+
+                for warmup in [0.0, 0.1, 0.2, 0.37, 0.5] {
+                    let r = build_report(&record, elapsed, &plan, warmup, 1, Vec::new());
+                    // The oracle sorts the times itself; handing it the
+                    // stream in time order keeps that sort linear.
+                    let (frames, fps, period_us, valid) =
+                        oracle_steady_state(&stream, elapsed, warmup);
+                    assert_eq!(r.frames, frames);
+                    assert_eq!(r.steady_state_valid, valid, "n {n}, warm-up {warmup}");
+                    let (want_fps, want_period) = if n <= MAX_SAMPLES as u64 {
+                        (fps, period_us)
+                    } else {
+                        // The cut falls on the sample grid: the smallest
+                        // power-of-two stride with n <= 4096 * stride.
+                        let stride = n.div_ceil(MAX_SAMPLES as u64).next_power_of_two();
+                        let warm = (((n as f64) * warmup).floor() as u64).min(n - 2);
+                        let cut = warm - warm % stride;
+                        assert!(((warm - cut) as f64) < n as f64 / 2048.0);
+                        let (last, at_cut) = (stream[n as usize - 1].1, stream[cut as usize].1);
+                        let period = (last - at_cut) as f64 / (n - 1 - cut) as f64;
+                        (1e9 / period, period / 1e3)
+                    };
+                    assert_eq!(
+                        r.fps.to_bits(),
+                        want_fps.to_bits(),
+                        "n {n}, warm-up {warmup}"
+                    );
+                    assert_eq!(
+                        r.period_us.to_bits(),
+                        want_period.to_bits(),
+                        "n {n}, warm-up {warmup}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Launches a no-op single-stage pipeline without a frame limit, runs
+    /// it to `departures` sink departures and checks that the sink record
+    /// kept the size it had at launch.
+    fn sink_record_stays_flat(departures: u64) {
+        let chain = chain_replicable(1);
+        let spec = PipelineSpec::new(
+            Arc::new(|_| ()),
+            vec![RuntimeTask::new(
+                "noop",
+                true,
+                FnWork(|_: u64, _: &mut (), _: CoreType| {}),
+            )],
+        );
+        let solution = Solution::new(vec![Stage::new(0, 0, 1, CoreType::Big)]);
+        let machine = VirtualMachine::new(Resources::new(1, 0));
+        let cfg = RunConfig {
+            frames: None,
+            max_duration: None,
+            queue_capacity: 16,
+            warmup_fraction: 0.2,
+        };
+        let live = spec.launch(&chain, &solution, &machine, &cfg).unwrap();
+        let launched = live.control.sink.lock().footprint();
+        let deadline = Instant::now() + Duration::from_secs(600);
+        while live.frames_done() < departures {
+            assert!(Instant::now() < deadline, "pipeline stalled");
+            thread::sleep(Duration::from_millis(5));
+        }
+        let (size, held) = {
+            let sink = live.control.sink.lock();
+            (sink.footprint(), sink.samples_held())
+        };
+        live.stop();
+        let r = live.join();
+        assert!(r.frames >= departures);
+        assert!(r.steady_state_valid);
+        assert_eq!(
+            size, launched,
+            "sink record grew over {} departures",
+            r.frames
+        );
+        assert!(held <= MAX_SAMPLES);
+    }
+
+    #[test]
+    fn unbounded_launch_keeps_a_flat_sink_record() {
+        sink_record_stays_flat(1_000_000);
+    }
+
+    #[test]
+    #[ignore = "a hundred million departures; scripts/ci.sh runs it in release mode"]
+    fn unbounded_launch_keeps_a_flat_sink_record_for_1e8_departures() {
+        sink_record_stays_flat(100_000_000);
     }
 }

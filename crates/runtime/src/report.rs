@@ -60,6 +60,11 @@ pub struct RunReport {
     /// check [`steady_state_valid`] before trusting it as a steady-state
     /// figure.
     ///
+    /// The pipeline keeps at most 4096 sampled departure times. Up to
+    /// 4096 departures the warm-up cut is exact. Above that it falls on
+    /// the sample grid: at most `frames / 2048` departures before the
+    /// exact cut, so the window is slightly longer.
+    ///
     /// [`fps_total`]: RunReport::fps_total
     /// [`steady_state_valid`]: RunReport::steady_state_valid
     pub fps: f64,
@@ -67,7 +72,9 @@ pub struct RunReport {
     pub fps_total: f64,
     /// Measured period, in microseconds — always consistent with `fps`
     /// (`period_us == 1e6 / fps` whenever `fps > 0`, and `0.0` only when
-    /// no frame departed at all).
+    /// no frame departed at all). Measured over the same window as `fps`,
+    /// so above 4096 departures its warm-up cut falls on the same sample
+    /// grid.
     pub period_us: f64,
     /// `true` when `fps`/`period_us` were measured over a real
     /// steady-state window (at least two departures after warm-up with a

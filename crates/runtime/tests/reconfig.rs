@@ -128,7 +128,9 @@ fn shrink_then_grow_migration_is_lossless() {
     assert_eq!(report.reconfigs[1].boundary_frame, grow.boundary_frame);
     for event in &report.reconfigs {
         assert!(event.downtime_us > 0.0, "{event:?}");
-        assert!(event.sink_gap_us >= 0.0, "{event:?}");
+        // By the drain barrier frame b departs after frame b - 1, so a
+        // record that missed either departure reads 0 here.
+        assert!(event.sink_gap_us > 0.0, "{event:?}");
     }
     assert_lossless(&trace, total);
 }

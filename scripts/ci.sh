@@ -102,8 +102,12 @@ cargo run --release -p amp-experiments --bin reconfig_sweep -- --smoke --out BEN
 # and cold-sweep solves, and the chain tier >= 1.5x faster than the cold
 # sweep. Tier-1 keeps only the counts of the same runs (frame counts and
 # lengths, zero steady-state allocations, one cold solve per chain);
-# host load moves the timings, so they are asserted here.
+# host load moves the timings, so they are asserted here. The two long
+# runtime runs ride along: the ordered ring's n->m liveness check over a
+# million frames, and a sink record that stays flat over a hundred
+# million departures of an unbounded launch.
 cargo test --release -q -p amp-runtime --test throughput -- --ignored
 cargo test --release -q -p amp-runtime --lib profiler -- --ignored
+cargo test --release -q -p amp-runtime --lib -- --ignored --exact adaptor::tests::n_to_m_stays_live_for_a_million_frames pipeline::tests::unbounded_launch_keeps_a_flat_sink_record_for_1e8_departures
 cargo test --release -q -p amp-integration-tests --test end_to_end -- --ignored
 cargo test --release -q -p amp-conformance --test sweep_warm_start -- --ignored
