@@ -37,8 +37,7 @@ use crate::instance::Instance;
 use amp_core::sched::{SchedScratch, Scheduler};
 use amp_core::{CoreType, Resources, Solution, Stage, TaskChain};
 use amp_service::{
-    solution_is_sound, Engine, EngineConfig, Policy, PortfolioConfig, ScheduleRequest,
-    ServiceError, StrategyWrap,
+    solution_is_sound, Engine, EngineConfig, Policy, ScheduleRequest, ServiceError, StrategyWrap,
 };
 use crossbeam::channel;
 
@@ -225,7 +224,6 @@ impl ChaosHarness {
             queue_depth: 256,
             cache_capacity: 1024,
             cache_shards: 4,
-            portfolio: PortfolioConfig::default(),
             fault_wrap: Some(chaos_wrap(cfg, Arc::clone(&counters))),
             ..EngineConfig::default()
         });

@@ -106,7 +106,7 @@ fn check_solution(
 ///   usages, the fewest big cores, ties broken by fewest little cores.
 ///   (`Pruning::Aggressive` stays period-optimal but may keep a different
 ///   equal-period core mix, so only usage *membership* is asserted.)
-/// * FERTAC and 2CATAC (budgeted or not) must return valid solutions
+/// * FERTAC and 2CATAC must return valid solutions
 ///   within the pool whose period is never below the optimum, and must
 ///   agree with the oracle on feasibility.
 /// * OTAC (B) / OTAC (L) must match HeRAD's optimum on the corresponding
@@ -200,10 +200,6 @@ pub fn check_core(inst: &Instance) -> Vec<Mismatch> {
     let heuristics: Vec<(String, Box<dyn Scheduler>)> = vec![
         ("FERTAC".to_string(), Box::new(Fertac)),
         ("2CATAC".to_string(), Box::new(Twocatac::new())),
-        (
-            "2CATAC(budget=n)".to_string(),
-            Box::new(Twocatac::with_node_budget(inst.len() as u64)),
-        ),
     ];
     for (label, strategy) in &heuristics {
         match (strategy.schedule(&chain, resources), oracle) {

@@ -9,8 +9,10 @@
 
 use amp_conformance::alloc_track::{self, TrackingAllocator};
 use amp_conformance::gen::{perf_chains, PERF_POOL};
-use amp_core::sched::{paper_strategies, Herad, PeriodBounds, SchedScratch, Scheduler};
-use amp_core::{Resources, Solution, Task, TaskChain};
+use amp_core::sched::{
+    paper_strategies, EnergyScheduler, EnergyTwocatac, Herad, PeriodBounds, SchedScratch, Scheduler,
+};
+use amp_core::{MilliPower, Ratio, Resources, Solution, Task, TaskChain};
 
 #[global_allocator]
 static ALLOC: TrackingAllocator = TrackingAllocator;
@@ -152,4 +154,38 @@ fn shape_change_costs_one_warmup_then_none() {
             strategy.name()
         );
     }
+}
+
+/// Energy2CATAC's warm solves allocate nothing either: its memo lives in
+/// the scratch and keeps its capacity, and the answer is rebuilt into the
+/// output's own buffer. Both targets are feasible for this chain and pool.
+#[test]
+fn warm_energy_twocatac_is_allocation_free() {
+    let c = chain();
+    let resources = Resources::new(4, 4);
+    let power = MilliPower::typical();
+    let optimal = Herad::new().schedule(&c, resources).unwrap().period(&c);
+    let relaxed = Ratio::new(optimal.numer() * 3, optimal.denom() * 2);
+    let mut scratch = SchedScratch::new();
+    let mut out = Solution::empty();
+    let solve = |target: Ratio, scratch: &mut SchedScratch, out: &mut Solution| {
+        EnergyTwocatac::new()
+            .schedule_energy_into(&c, resources, &power, target, scratch, out)
+            .expect("feasible target")
+    };
+    for _ in 0..3 {
+        for target in [optimal, relaxed] {
+            solve(target, &mut scratch, &mut out);
+        }
+    }
+    let reference = out.clone();
+    let ((), allocs) = alloc_track::count_thread_allocs(|| {
+        for _ in 0..10 {
+            for target in [optimal, relaxed] {
+                solve(target, &mut scratch, &mut out);
+            }
+        }
+    });
+    assert_eq!(allocs, 0, "Energy2CATAC: warm solves allocated");
+    assert_eq!(out, reference, "Energy2CATAC: warm result drifted");
 }

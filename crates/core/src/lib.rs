@@ -14,7 +14,8 @@
 //!
 //! * [`sched::Fertac`] — greedy, little-cores-first (Algorithm 4).
 //! * [`sched::Twocatac`] — greedy, tries both core types per stage
-//!   (Algorithms 5–6); worst-case exponential, near-optimal in practice.
+//!   (Algorithms 5–6), memoized over `(start, big left, little left)`;
+//!   near-optimal in practice.
 //! * [`sched::Herad`] — optimal dynamic programming (Algorithms 7–11),
 //!   optimal in period *and* in the big→little exchange tie-break.
 //! * [`sched::Otac`] — the homogeneous-optimal baseline restricted to one

@@ -54,7 +54,8 @@ unsafe impl Sync for SharedResults {}
 /// everything runs on the calling thread.
 ///
 /// The scratches are the warm state: pass the same slice to every batch
-/// and each worker keeps its HeRAD table and stage pool across batches. An empty slice is allowed and behaves like a
+/// and each worker keeps its HeRAD table, stage buffer and two-choice
+/// memos across batches. An empty slice is allowed and behaves like a
 /// single fresh scratch.
 #[must_use]
 pub fn schedule_many_with(

@@ -94,7 +94,7 @@ impl PeriodBounds {
 ///
 /// The best stage list so far lives in `out`; probes fill a candidate
 /// buffer rented from `scratch` and the two are swapped on improvement, so
-/// the search itself performs no heap allocation once the scratch pool has
+/// the search itself performs no heap allocation once that buffer has
 /// warmed up. Returns `false` — leaving `out` empty — only when no valid
 /// schedule exists at any period.
 pub fn schedule_binary_search_into<F>(

@@ -51,7 +51,7 @@ use crate::power::{ratio_add, MilliPower, PowerModel};
 use crate::ratio::Ratio;
 use crate::resources::{CoreType, Resources};
 use crate::sched::binary_search::PeriodBounds;
-use crate::sched::scratch::SchedScratch;
+use crate::sched::scratch::{walk_winners, ChoiceMemo, SchedScratch};
 use crate::sched::support::{compute_stage, required_cores, stage_fits};
 use crate::sched::{Herad, Scheduler};
 use crate::solution::{Solution, Stage};
@@ -347,91 +347,19 @@ impl EnergyScheduler for EnergyFertac {
     }
 }
 
-/// Energy-greedy 2CATAC: the two-branch recursion of 2CATAC (both core
-/// types tried at every stage start, little explored first) with the
-/// winner chosen by total energy instead of core count. `node_budget`
-/// bounds the explored recursion nodes exactly like
-/// [`crate::sched::Twocatac::with_node_budget`]; an exhausted budget
-/// abandons the subtree, so the result degrades toward the first
-/// (little-leaning) branch rather than failing.
-#[derive(Debug, Clone, Copy)]
-pub struct EnergyTwocatac {
-    node_budget: Option<u64>,
-}
-
-impl Default for EnergyTwocatac {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// Energy-greedy 2CATAC: 2CATAC's two choices (both core types tried at
+/// every stage start) with the winner chosen by total energy instead of
+/// core count, little winning ties. Like [`crate::sched::Twocatac`], it
+/// memoizes each suffix by `(start, big left, little left)`, so it
+/// visits at most `n·(B+1)·(L+1)` states for one target.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct EnergyTwocatac;
 
 impl EnergyTwocatac {
-    /// Unbounded exploration.
+    /// Creates the solver.
     #[must_use]
     pub fn new() -> Self {
-        EnergyTwocatac { node_budget: None }
-    }
-
-    /// Bounds the number of recursion nodes explored per solve.
-    #[must_use]
-    pub fn with_node_budget(budget: u64) -> Self {
-        EnergyTwocatac {
-            node_budget: Some(budget),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn explore(
-        &self,
-        chain: &TaskChain,
-        power: &MilliPower,
-        target: Ratio,
-        left: Resources,
-        start: usize,
-        acc: Ratio,
-        nodes_left: &mut u64,
-        current: &mut Vec<Stage>,
-        best: &mut Option<(Ratio, Vec<Stage>)>,
-    ) {
-        if start == chain.len() {
-            let better = best.as_ref().is_none_or(|(be, _)| acc < *be);
-            if better {
-                *best = Some((acc, current.clone()));
-            }
-            return;
-        }
-        if *nodes_left == 0 {
-            return;
-        }
-        *nodes_left -= 1;
-        // Prune: energy only grows along a branch.
-        if best.as_ref().is_some_and(|(be, _)| acc >= *be) {
-            return;
-        }
-        for v in [CoreType::Little, CoreType::Big] {
-            let c = left.of(v);
-            if c == 0 {
-                continue;
-            }
-            let (end, used) = compute_stage(chain, start, c, v, target);
-            if !stage_fits(chain, start, end, used, c, v, target) {
-                continue;
-            }
-            let e = ratio_add(acc, stage_energy(chain, power, start, end, used, v, target));
-            current.push(Stage::new(start, end, used, v));
-            self.explore(
-                chain,
-                power,
-                target,
-                left.minus(v, used),
-                end + 1,
-                e,
-                nodes_left,
-                current,
-                best,
-            );
-            current.pop();
-        }
+        EnergyTwocatac
     }
 }
 
@@ -446,31 +374,59 @@ impl EnergyScheduler for EnergyTwocatac {
         resources: Resources,
         power: &MilliPower,
         target: Ratio,
-        _scratch: &mut SchedScratch,
+        scratch: &mut SchedScratch,
         out: &mut Solution,
     ) -> Option<Ratio> {
         out.stages_mut().clear();
         if !target.is_finite() || target.is_zero() || chain.is_empty() {
             return None;
         }
-        let mut nodes_left = self.node_budget.unwrap_or(u64::MAX);
-        let mut current = Vec::new();
-        let mut best: Option<(Ratio, Vec<Stage>)> = None;
-        self.explore(
-            chain,
-            power,
-            target,
-            resources,
-            0,
-            Ratio::ZERO,
-            &mut nodes_left,
-            &mut current,
-            &mut best,
-        );
-        let (energy, stages) = best?;
-        *out.stages_mut() = stages;
+        let memo = &mut scratch.energy_memo;
+        memo.clear();
+        let (_, energy) = cheapest_suffix(chain, power, target, 0, resources, memo)?;
+        walk_winners(memo, chain.len(), resources, out.stages_mut());
         Some(energy)
     }
+}
+
+/// The cheapest two-choice suffix from `start` on `left` cores at
+/// `target`: its first stage and exact energy, or `None` when neither
+/// core type leads to a feasible suffix. Little is tried first and kept
+/// unless big's total is strictly lower — the order in which a
+/// depth-first search over both choices meets its first minimum.
+fn cheapest_suffix(
+    chain: &TaskChain,
+    power: &MilliPower,
+    target: Ratio,
+    start: usize,
+    left: Resources,
+    memo: &mut ChoiceMemo<Ratio>,
+) -> Option<(Stage, Ratio)> {
+    if let Some(&known) = memo.get(&(start, left)) {
+        return known;
+    }
+    let mut best: Option<(Stage, Ratio)> = None;
+    for v in [CoreType::Little, CoreType::Big] {
+        let c = left.of(v);
+        let (end, used) = compute_stage(chain, start, c, v, target);
+        if !stage_fits(chain, start, end, used, c, v, target) {
+            continue;
+        }
+        let own = stage_energy(chain, power, start, end, used, v, target);
+        let total = if end + 1 == chain.len() {
+            own
+        } else {
+            match cheapest_suffix(chain, power, target, end + 1, left.minus(v, used), memo) {
+                Some((_, rest)) => ratio_add(own, rest),
+                None => continue,
+            }
+        };
+        if best.is_none_or(|(_, incumbent)| total < incumbent) {
+            best = Some((Stage::new(start, end, used, v), total));
+        }
+    }
+    memo.insert((start, left), best);
+    best
 }
 
 /// The three energy-aware strategies, optimal first.
@@ -625,7 +581,11 @@ pub fn min_period_under_energy_cap(
 mod tests {
     use super::*;
     use crate::chain::Task;
+    use crate::sched::twocatac::tests::paper_chain;
     use crate::solution::period_of;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     fn chain() -> TaskChain {
         TaskChain::new(vec![
@@ -784,6 +744,148 @@ mod tests {
                 "{} must prefer little on ties",
                 s.name()
             );
+        }
+    }
+
+    /// Energy2CATAC as a depth-first search over both choices at every
+    /// stage start (little first), pruned once a branch costs no less
+    /// than the best complete schedule: exponential in the stage count.
+    /// The memo must give its energy and stages.
+    #[allow(clippy::too_many_arguments)]
+    fn explore(
+        chain: &TaskChain,
+        power: &MilliPower,
+        target: Ratio,
+        left: Resources,
+        start: usize,
+        acc: Ratio,
+        current: &mut Vec<Stage>,
+        best: &mut Option<(Ratio, Vec<Stage>)>,
+    ) {
+        if start == chain.len() {
+            let better = best.as_ref().is_none_or(|(be, _)| acc < *be);
+            if better {
+                *best = Some((acc, current.clone()));
+            }
+            return;
+        }
+        // Prune: energy only grows along a branch.
+        if best.as_ref().is_some_and(|(be, _)| acc >= *be) {
+            return;
+        }
+        for v in [CoreType::Little, CoreType::Big] {
+            let c = left.of(v);
+            if c == 0 {
+                continue;
+            }
+            let (end, used) = compute_stage(chain, start, c, v, target);
+            if !stage_fits(chain, start, end, used, c, v, target) {
+                continue;
+            }
+            let e = ratio_add(acc, stage_energy(chain, power, start, end, used, v, target));
+            current.push(Stage::new(start, end, used, v));
+            explore(
+                chain,
+                power,
+                target,
+                left.minus(v, used),
+                end + 1,
+                e,
+                current,
+                best,
+            );
+            current.pop();
+        }
+    }
+
+    #[test]
+    fn memo_matches_the_depth_first_search() {
+        let mut rng = StdRng::seed_from_u64(0xe2ca);
+        let models = [
+            MilliPower::typical(),
+            MilliPower::new(2000, 2000, 200),
+            MilliPower::new(3000, 1000, 0),
+        ];
+        // One scratch throughout: a memo left by another chain, pool,
+        // model or target must not leak into the next solve.
+        let mut scratch = SchedScratch::new();
+        let mut out = Solution::empty();
+        let mut solved = 0;
+        for case in 0..240 {
+            let n = rng.gen_range(1..=20);
+            let chain = if case % 2 == 0 {
+                paper_chain(&mut rng, n, [0.2, 0.5, 0.8][case % 3])
+            } else {
+                TaskChain::new(
+                    (0..n)
+                        .map(|_| {
+                            Task::new(
+                                rng.gen_range(1..=4),
+                                rng.gen_range(1..=8),
+                                rng.gen_bool(0.5),
+                            )
+                        })
+                        .collect(),
+                )
+            };
+            let big = rng.gen_range(0..=8);
+            let pool = Resources::new(big, rng.gen_range(u64::from(big == 0)..=8));
+            let power = models[case % models.len()];
+            let t_opt = Herad::new().schedule(&chain, pool).unwrap().period(&chain);
+            for (num, den) in [(1, 1), (6, 5), (3, 2), (2, 1), (3, 1)] {
+                let target = Ratio::new(t_opt.numer() * num, t_opt.denom() * den);
+                let mut best = None;
+                explore(
+                    &chain,
+                    &power,
+                    target,
+                    pool,
+                    0,
+                    Ratio::ZERO,
+                    &mut Vec::new(),
+                    &mut best,
+                );
+                let got = EnergyTwocatac::new().schedule_energy_into(
+                    &chain,
+                    pool,
+                    &power,
+                    target,
+                    &mut scratch,
+                    &mut out,
+                );
+                let got = got.map(|e| ((e.numer(), e.denom()), out.stages().to_vec()));
+                let want = best.map(|(e, stages)| ((e.numer(), e.denom()), stages));
+                assert_eq!(got, want, "{n} tasks on {pool} at {target}");
+                solved += usize::from(got.is_some());
+            }
+        }
+        assert!(
+            solved > 600,
+            "too few feasible solves ({solved}) to compare"
+        );
+    }
+
+    /// The depth-first search was still running after 60 s on 100
+    /// paper-style tasks on 40+40 cores; the memo answers in
+    /// milliseconds even in a debug build.
+    #[test]
+    fn hundred_tasks_on_forty_plus_forty_answer_within_a_deadline() {
+        let chain = paper_chain(&mut StdRng::seed_from_u64(100), 100, 0.5);
+        let pool = Resources::new(40, 40);
+        let target = Herad::new().schedule(&chain, pool).unwrap().period(&chain);
+        let (tx, rx) = mpsc::channel();
+        let solver_chain = chain.clone();
+        std::thread::spawn(move || {
+            let power = MilliPower::typical();
+            let _ =
+                tx.send(EnergyTwocatac::new().schedule_energy(&solver_chain, pool, &power, target));
+        });
+        let answer = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("Energy2CATAC on 100 tasks and 40+40 cores must answer within 10 s");
+        // A greedy may miss the optimal period; whatever it returns must fit.
+        if let Some((solution, _)) = answer {
+            check_feasible(&chain, pool, &solution, target);
         }
     }
 }

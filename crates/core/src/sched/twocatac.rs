@@ -1,42 +1,32 @@
 //! 2CATAC — *Two-Choice Allocation for TAsk Chains* (Section IV-B,
 //! Algorithms 5 and 6): a greedy heuristic that builds each stage with
 //! *both* core types and keeps the better of the two resulting solutions.
-//! Exponential in the number of stages in the worst case.
+//!
+//! Written as in the paper, the two-branch recursion is exponential in the
+//! number of stages. For one chain and one target period, though, a
+//! suffix's answer depends only on `(start, big left, little left)`, so
+//! each probe memoizes it per state and rebuilds the answer by walking
+//! the winning first stages: at most `n·(B+1)·(L+1)` states a probe, with
+//! every answer the recursion gives.
 
 use crate::chain::TaskChain;
 use crate::ratio::Ratio;
 use crate::resources::{CoreType, Resources};
 use crate::sched::binary_search::schedule_binary_search_into;
+use crate::sched::scratch::{walk_winners, ChoiceMemo};
 use crate::sched::support::{compute_stage, stage_fits};
 use crate::sched::{SchedScratch, Scheduler};
-use crate::solution::{stages_are_valid, used_cores_of, Solution, Stage};
+use crate::solution::{Solution, Stage};
 
-/// The 2CATAC scheduler.
-///
-/// `node_budget` optionally bounds the number of recursion nodes explored
-/// *per target period* to protect callers from the worst-case exponential
-/// blow-up; when the budget is exhausted the current subtree fails, which
-/// can only make the final schedule more conservative (the search still
-/// returns a valid solution — at worst the single-stage fallback). The
-/// paper's experiments use the unbounded variant; so does `Twocatac::new()`.
+/// The 2CATAC scheduler, as evaluated in the paper.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct Twocatac {
-    node_budget: Option<u64>,
-}
+pub struct Twocatac;
 
 impl Twocatac {
-    /// Unbounded 2CATAC, as evaluated in the paper.
+    /// Creates the solver.
     #[must_use]
     pub fn new() -> Self {
-        Twocatac { node_budget: None }
-    }
-
-    /// 2CATAC with a cap on recursion nodes per binary-search probe.
-    #[must_use]
-    pub fn with_node_budget(budget: u64) -> Self {
-        Twocatac {
-            node_budget: Some(budget),
-        }
+        Twocatac
     }
 }
 
@@ -53,84 +43,76 @@ impl Scheduler for Twocatac {
         out: &mut Solution,
     ) -> bool {
         schedule_binary_search_into(chain, resources, scratch, out, |c, r, p, s, buf| {
-            let mut nodes_left = self.node_budget.unwrap_or(u64::MAX);
-            compute_solution_into(c, 0, r, p, &mut nodes_left, s, buf)
+            compute_solution_into(c, r, p, &mut s.twocatac_memo, buf)
         })
     }
 }
 
-/// `ComputeSolution` for 2CATAC (Algorithm 5): builds the stage starting at
-/// `start` once per core type, recurses on both, and keeps the better
-/// combined solution in `out`. The branch buffers are rented from the
-/// scratch stage pool, so a deep search reuses a handful of vectors instead
-/// of allocating one per node. Returns `false` (clearing `out`) when
-/// neither branch yields a valid suffix.
+/// `ComputeSolution` for 2CATAC (Algorithm 5) at one target period: fills
+/// `out` with the winning stages from the first task on, or returns
+/// `false` (clearing `out`) when no valid solution exists.
 fn compute_solution_into(
     chain: &TaskChain,
-    start: usize,
     resources: Resources,
     target: Ratio,
-    nodes_left: &mut u64,
-    scratch: &mut SchedScratch,
+    memo: &mut ChoiceMemo<Resources>,
     out: &mut Vec<Stage>,
 ) -> bool {
+    memo.clear();
     out.clear();
-    if *nodes_left == 0 {
+    if best_suffix(chain, 0, resources, target, memo).is_none() {
         return false;
     }
-    *nodes_left -= 1;
-    let n = chain.len();
-    let mut big = scratch.rent_stages();
-    let mut little = scratch.rent_stages();
-    let mut filled = [false, false];
+    walk_winners(memo, chain.len(), resources, out);
+    true
+}
+
+/// The suffix from `start` on `left` cores: builds its first stage once
+/// per core type, solves the rest of each, and keeps the winner of
+/// Algorithm 6 with the cores the whole suffix uses, or `None` when
+/// neither core type leads to a valid suffix. A valid suffix fits its
+/// cores and target by construction (every stage passes `stage_fits`
+/// within the cores its prefix leaves), so no whole-solution check is
+/// needed.
+fn best_suffix(
+    chain: &TaskChain,
+    start: usize,
+    left: Resources,
+    target: Ratio,
+    memo: &mut ChoiceMemo<Resources>,
+) -> Option<(Stage, Resources)> {
+    if let Some(&known) = memo.get(&(start, left)) {
+        return known;
+    }
+    let mut branches = [None; 2];
     for (slot, v) in CoreType::BOTH.into_iter().enumerate() {
-        let buf = if v == CoreType::Big {
-            &mut big
-        } else {
-            &mut little
-        };
-        let available = resources.of(v);
+        let available = left.of(v);
         let (end, used) = compute_stage(chain, start, available, v, target);
         if !stage_fits(chain, start, end, used, available, v, target) {
             continue; // no valid stage with this core type
         }
-        let stage = Stage::new(start, end, used, v);
-        if end == n - 1 {
-            buf.clear();
-            buf.push(stage);
-            filled[slot] = true;
-            continue;
-        }
-        let remaining = resources.minus(v, used);
-        if compute_solution_into(chain, end + 1, remaining, target, nodes_left, scratch, buf)
-            && stages_are_valid(chain, remaining, target, buf)
-        {
-            buf.insert(0, stage); // the `·` concatenation of Algorithm 5
-            filled[slot] = true;
-        }
+        let rest = if end == chain.len() - 1 {
+            Some(Resources::new(0, 0))
+        } else {
+            best_suffix(chain, end + 1, left.minus(v, used), target, memo).map(|(_, rest)| rest)
+        };
+        branches[slot] = rest.map(|mut usage| {
+            match v {
+                CoreType::Big => usage.big += used,
+                CoreType::Little => usage.little += used,
+            }
+            (Stage::new(start, end, used, v), usage)
+        });
     }
-    let big_valid = filled[0] && stages_are_valid(chain, resources, target, &big);
-    let little_valid = filled[1] && stages_are_valid(chain, resources, target, &little);
-    let winner = choose_winner(
-        big_valid,
-        little_valid,
-        used_cores_of(&big),
-        used_cores_of(&little),
-    );
-    let ok = match winner {
-        Some(CoreType::Big) => {
-            std::mem::swap(out, &mut big);
-            true
-        }
-        Some(CoreType::Little) => {
-            std::mem::swap(out, &mut little);
-            true
-        }
-        None => false,
+    let [big, little] = branches;
+    let usage = |branch: Option<(Stage, Resources)>| branch.map_or(Resources::new(0, 0), |b| b.1);
+    let winner = match choose_winner(big.is_some(), little.is_some(), usage(big), usage(little)) {
+        Some(CoreType::Big) => big,
+        Some(CoreType::Little) => little,
+        None => None,
     };
-    scratch.return_stages(big);
-    scratch.return_stages(little);
-    ok
+    memo.insert((start, left), winner);
+    winner
 }
 
 /// The decision core of `ChooseBestSolution` (Algorithm 6) on usage
@@ -187,9 +169,14 @@ fn choose_best_solution(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::chain::Task;
+    use crate::solution::{stages_are_valid, used_cores_of};
+    use rand::seq::SliceRandom;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     fn chain() -> TaskChain {
         TaskChain::new(vec![
@@ -232,16 +219,6 @@ mod tests {
             // guards the implementation against regressions.
             assert!(two <= fer, "2CATAC {two} worse than FERTAC {fer} at {r}");
         }
-    }
-
-    #[test]
-    fn node_budget_still_yields_valid_schedules() {
-        let c = chain();
-        let r = Resources::new(3, 3);
-        let s = Twocatac::with_node_budget(4)
-            .schedule(&c, r)
-            .expect("the seeded upper bound always fits the budget");
-        assert!(s.validate(&c).is_ok());
     }
 
     #[test]
@@ -293,5 +270,178 @@ mod tests {
             valid
         );
         assert!(choose_best_solution(Solution::empty(), Solution::empty(), &c, r, t).is_empty());
+    }
+
+    /// `ComputeSolution` (Algorithm 5) as the paper writes it: a two-branch
+    /// recursion, exponential in the stage count. The memoized probe must
+    /// give its answer at every target.
+    fn recursion_into(
+        chain: &TaskChain,
+        start: usize,
+        resources: Resources,
+        target: Ratio,
+        out: &mut Vec<Stage>,
+    ) -> bool {
+        out.clear();
+        let n = chain.len();
+        let mut big = Vec::new();
+        let mut little = Vec::new();
+        let mut filled = [false, false];
+        for (slot, v) in CoreType::BOTH.into_iter().enumerate() {
+            let buf = if v == CoreType::Big {
+                &mut big
+            } else {
+                &mut little
+            };
+            let available = resources.of(v);
+            let (end, used) = compute_stage(chain, start, available, v, target);
+            if !stage_fits(chain, start, end, used, available, v, target) {
+                continue; // no valid stage with this core type
+            }
+            let stage = Stage::new(start, end, used, v);
+            if end == n - 1 {
+                buf.clear();
+                buf.push(stage);
+                filled[slot] = true;
+                continue;
+            }
+            let remaining = resources.minus(v, used);
+            if recursion_into(chain, end + 1, remaining, target, buf)
+                && stages_are_valid(chain, remaining, target, buf)
+            {
+                buf.insert(0, stage); // the `·` concatenation of Algorithm 5
+                filled[slot] = true;
+            }
+        }
+        let big_valid = filled[0] && stages_are_valid(chain, resources, target, &big);
+        let little_valid = filled[1] && stages_are_valid(chain, resources, target, &little);
+        let winner = choose_winner(
+            big_valid,
+            little_valid,
+            used_cores_of(&big),
+            used_cores_of(&little),
+        );
+        match winner {
+            Some(CoreType::Big) => {
+                std::mem::swap(out, &mut big);
+                true
+            }
+            Some(CoreType::Little) => {
+                std::mem::swap(out, &mut little);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// A chain drawn like the paper's simulations: big weights in
+    /// `[1, 100]`, little weights `ceil(big · s)` for a slowdown `s` in
+    /// `[1, 5]`, and `round(sr · n)` replicable tasks.
+    pub(crate) fn paper_chain(rng: &mut StdRng, n: usize, sr: f64) -> TaskChain {
+        let replicable_count = (sr * n as f64).round() as usize;
+        let mut replicable: Vec<bool> = (0..n).map(|i| i < replicable_count).collect();
+        replicable.shuffle(rng);
+        TaskChain::new(
+            replicable
+                .into_iter()
+                .map(|rep| {
+                    let big = rng.gen_range(1..=100u64);
+                    let slowdown: f64 = rng.gen_range(1.0..=5.0);
+                    let little = (big as f64 * slowdown).ceil() as u64;
+                    Task::new(big, little, rep)
+                })
+                .collect(),
+        )
+    }
+
+    /// A paper-style chain, or (every other draw) one with weights in
+    /// `[1, 4]`, whose many equal stage weights and core counts reach
+    /// Algorithm 6's ties.
+    fn seeded_chain(rng: &mut StdRng, n: usize) -> TaskChain {
+        let sr = [0.2, 0.5, 0.8][rng.gen_range(0..3usize)];
+        if rng.gen_bool(0.5) {
+            return paper_chain(rng, n, sr);
+        }
+        TaskChain::new(
+            (0..n)
+                .map(|_| Task::new(rng.gen_range(1..=4), rng.gen_range(1..=8), rng.gen_bool(sr)))
+                .collect(),
+        )
+    }
+
+    /// Solves `chain` on `pool`, checking every binary-search probe's
+    /// `(ok, stages)` against the recursion. Returns the probe count.
+    fn assert_probes_match(
+        chain: &TaskChain,
+        pool: Resources,
+        scratch: &mut SchedScratch,
+    ) -> usize {
+        let mut out = Solution::empty();
+        let mut expected = Vec::new();
+        let mut probes = 0;
+        schedule_binary_search_into(chain, pool, scratch, &mut out, |c, r, p, s, buf| {
+            let ok = compute_solution_into(c, r, p, &mut s.twocatac_memo, buf);
+            let want = recursion_into(c, 0, r, p, &mut expected);
+            assert_eq!(
+                (ok, buf.as_slice()),
+                (want, expected.as_slice()),
+                "{} tasks on {pool} at {p}",
+                c.len()
+            );
+            probes += 1;
+            ok
+        });
+        probes
+    }
+
+    fn assert_memo_matches_recursion(seed: u64, cases: usize, max_tasks: usize, max_cores: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        // One scratch throughout: a memo left by a different chain, pool
+        // or target must not leak into the next probe.
+        let mut scratch = SchedScratch::new();
+        let mut probes = 0;
+        for _ in 0..cases {
+            let n = rng.gen_range(1..=max_tasks);
+            let chain = seeded_chain(&mut rng, n);
+            let big = rng.gen_range(0..=max_cores);
+            let little = rng.gen_range(u64::from(big == 0)..=max_cores);
+            probes += assert_probes_match(&chain, Resources::new(big, little), &mut scratch);
+        }
+        assert!(
+            probes > cases,
+            "the binary search must probe more than once"
+        );
+    }
+
+    #[test]
+    fn memo_matches_the_recursion_on_every_probe() {
+        assert_memo_matches_recursion(0x2ca7, 1000, 24, 8);
+    }
+
+    /// The wider grid of the same check, where the recursion's tail is
+    /// longest: about 20 s in a release build.
+    #[test]
+    #[ignore = "long: run in release with --ignored"]
+    fn memo_matches_the_recursion_up_to_40_tasks_on_20_plus_20() {
+        assert_memo_matches_recursion(0x2ca8, 4000, 40, 20);
+    }
+
+    /// Paper-style chains of 60 tasks on 40+40 cores held the recursion
+    /// for 25–35 s; the memo answers in milliseconds even in a debug build.
+    #[test]
+    fn sixty_tasks_on_forty_plus_forty_answer_within_a_deadline() {
+        let chain = paper_chain(&mut StdRng::seed_from_u64(60), 60, 0.5);
+        let pool = Resources::new(40, 40);
+        let (tx, rx) = mpsc::channel();
+        let solver_chain = chain.clone();
+        std::thread::spawn(move || {
+            let _ = tx.send(Twocatac::new().schedule(&solver_chain, pool));
+        });
+        let solution = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("2CATAC on 60 tasks and 40+40 cores must answer within 10 s")
+            .expect("a pool with cores always schedules");
+        assert!(solution.validate(&chain).is_ok());
+        assert!(solution.is_valid(&chain, pool, solution.period(&chain)));
     }
 }

@@ -1,14 +1,17 @@
 //! Reproduces **Fig. 6**: the qualitative summary of the strategies —
 //! schedule quality (average slowdown vs HeRAD across the Table I
-//! campaign), execution-time class, and the average distance between
-//! achieved and best-possible throughput in the DVB-S2 experiment.
+//! campaign), execution-time class (the measured mean solve time on
+//! paper-style chains of 20 tasks on 10B+10L and of 100 tasks on
+//! 40B+40L, SR 0.5), and the average distance between achieved and
+//! best-possible throughput in the DVB-S2 experiment.
 //!
 //! Usage: `fig6 [--chains N]` (default 200 chains per cell for a quick
 //! but representative aggregate; use 1000 for the paper's exact shape).
 
 use amp_core::sched::paper_strategies;
+use amp_core::Resources;
 use amp_dvbs2::{profiled_chain, table2_configs};
-use amp_experiments::{mean, run_campaign, CampaignConfig};
+use amp_experiments::{mean, run_campaign, time_strategies, CampaignConfig, TimingConfig};
 use amp_sim::{simulate, SimConfig};
 use amp_workload::{table1_resources, PAPER_STATELESS_RATIOS};
 use std::collections::BTreeMap;
@@ -70,28 +73,42 @@ fn main() {
         }
     }
 
+    // Execution-time class: mean solve time from a Table I point to a
+    // larger chain on a larger pool, every strategy measured on the same
+    // chains.
+    let time_at = |tasks: usize, cores: u64| {
+        let mut config = TimingConfig::paper(tasks, Resources::new(cores, cores), 0.5);
+        config.chains = 10;
+        config.twocatac_task_limit = usize::MAX;
+        time_strategies(&config)
+    };
+    let (small, large) = (time_at(20, 10), time_at(100, 40));
+
     println!("Fig 6: advantages and limitations of the strategies");
     println!(
-        "{:<10} {:>18} {:>16} {:>26}",
+        "{:<10} {:>18} {:>20} {:>26}",
         "Strategy", "Avg slowdown", "Exec time class", "Avg diff to best thpt (%)"
     );
-    let classes: BTreeMap<&str, &str> = BTreeMap::from([
-        ("HeRAD", "ms -> s (n^2 DP)"),
-        ("2CATAC", "us -> s (exp.)"),
-        ("FERTAC", "~10-100 us"),
-        ("OTAC (B)", "~10-100 us"),
-        ("OTAC (L)", "~10-100 us"),
-    ]);
-    for strategy in paper_strategies() {
-        let name = strategy.name();
+    // `time_strategies` measures the paper's strategies in their order.
+    for (lo, hi) in small.iter().zip(&large) {
+        let name = lo.name.as_str();
         let q = slowdowns.get(name).map(|v| mean(v)).unwrap_or(f64::NAN);
         let d = distance.get(name).map(|v| mean(v)).unwrap_or(f64::NAN);
-        println!(
-            "{:<10} {:>18.3} {:>16} {:>25.1}%",
-            name,
-            q,
-            classes.get(name).unwrap_or(&"-"),
-            d
-        );
+        let class = match (lo.mean_us, hi.mean_us) {
+            (Some(lo), Some(hi)) => format!("{} -> {}", human_time(lo), human_time(hi)),
+            _ => "-".to_string(),
+        };
+        println!("{name:<10} {q:>18.3} {class:>20} {d:>25.1}%");
+    }
+}
+
+/// A duration in microseconds, in the largest unit that keeps it >= 1.
+fn human_time(us: f64) -> String {
+    if us < 1e3 {
+        format!("{us:.0} us")
+    } else if us < 1e6 {
+        format!("{:.1} ms", us / 1e3)
+    } else {
+        format!("{:.1} s", us / 1e6)
     }
 }

@@ -18,8 +18,9 @@ pub struct TimingConfig {
     pub resources: Resources,
     /// RNG seed.
     pub seed: u64,
-    /// Skip 2CATAC beyond this many tasks (the paper stops at 60 because
-    /// of its exponential worst case).
+    /// Skip 2CATAC beyond this many tasks (the paper stops at 60, where
+    /// its recursion's time had grown exponentially; the memoized search
+    /// keeps the cut so the figures span the paper's axes).
     pub twocatac_task_limit: usize,
     /// Skip HeRAD beyond this many tasks x cores (driver-imposed budget;
     /// `usize::MAX` = never skip).

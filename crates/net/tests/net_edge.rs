@@ -19,6 +19,8 @@ use std::time::Duration;
 use amp_core::json::Json;
 use amp_net::{QuotaConfig, Server, ServerConfig};
 use amp_service::{EngineConfig, Objective, Policy, ScheduleRequest, TaskSpec};
+use rand::seq::SliceRandom;
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 fn small_server_config() -> ServerConfig {
     ServerConfig {
@@ -552,6 +554,51 @@ fn oversized_pool_frame_is_typed_and_the_server_keeps_serving() {
         result.is_ok(),
         "the server must survive the oversized frame"
     );
+
+    drop(stream);
+    server.shutdown();
+}
+
+/// A 2CATAC frame of 60 tasks drawn like the paper's simulations (seed
+/// 60, half of them replicable) on 40+40 cores. While 2CATAC was a
+/// two-branch recursion, such frames held a worker for 25–35 s; the
+/// memoized search answers well inside the 10 s read timeout.
+#[test]
+fn sixty_task_twocatac_frame_is_answered_within_the_read_timeout() {
+    let mut rng = StdRng::seed_from_u64(60);
+    let n = 60;
+    let mut replicable: Vec<bool> = (0..n).map(|i| i < n / 2).collect();
+    replicable.shuffle(&mut rng);
+    let tasks = replicable
+        .into_iter()
+        .map(|replicable| {
+            let weight_big = rng.gen_range(1..=100u64);
+            let slowdown: f64 = rng.gen_range(1.0..=5.0);
+            TaskSpec {
+                weight_big,
+                weight_little: (weight_big as f64 * slowdown).ceil() as u64,
+                replicable,
+            }
+        })
+        .collect();
+    let frame = ScheduleRequest {
+        tasks,
+        big_cores: 40,
+        little_cores: 40,
+        policy: Policy::Strategy("2CATAC".to_string()),
+        ..request(1, 0)
+    };
+    let server = Server::start(small_server_config()).expect("server");
+    let (mut stream, mut reader) = connect(&server);
+    send_line(
+        &mut stream,
+        &amp_net::proto::render_request(&frame, "public"),
+    );
+    let (id, result) = read_response(&mut reader);
+    assert_eq!(id, Some(1));
+    let outcome = result.expect("2CATAC answers a pool with cores");
+    let strategy = outcome.as_obj().and_then(|o| o.get("strategy"));
+    assert_eq!(strategy.and_then(Json::as_str), Some("2CATAC"));
 
     drop(stream);
     server.shutdown();

@@ -75,7 +75,7 @@ use crate::cache::{CacheKey, CacheStats, SolutionCache};
 use crate::chain_tier::{ChainTier, ChainTierStats, SnapshotError, TierFaultHook};
 use crate::error::ServiceError;
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
-use crate::portfolio::{self, PortfolioConfig};
+use crate::portfolio;
 use crate::racer::{solution_is_sound, RacerPool, StrategyWrap};
 use crate::request::{Policy, ScheduleOutcome, ScheduleRequest, ScheduleResponse, TaskSpec};
 
@@ -97,8 +97,6 @@ pub struct EngineConfig {
     pub cache_capacity: usize,
     /// Cache shards (lock-contention granularity).
     pub cache_shards: usize,
-    /// Portfolio tuning, applied to every `Policy::Portfolio` request.
-    pub portfolio: PortfolioConfig,
     /// Chain-tier capacity: how many distinct chains keep their solved
     /// HeRAD DP table resident for solve-once serving across pool shapes
     /// (see [`ChainTier`]). `0` disables the tier.
@@ -127,7 +125,6 @@ impl Default for EngineConfig {
             queue_depth: 1024,
             cache_capacity: 4096,
             cache_shards: 16,
-            portfolio: PortfolioConfig::default(),
             chain_capacity: 64,
             snapshot_path: None,
             fault_wrap: None,
@@ -144,7 +141,6 @@ impl std::fmt::Debug for EngineConfig {
             .field("queue_depth", &self.queue_depth)
             .field("cache_capacity", &self.cache_capacity)
             .field("cache_shards", &self.cache_shards)
-            .field("portfolio", &self.portfolio)
             .field("chain_capacity", &self.chain_capacity)
             .field("snapshot_path", &self.snapshot_path)
             .field("fault_wrap", &self.fault_wrap.is_some())
@@ -183,14 +179,13 @@ pub struct RejectedBatch {
     pub error: ServiceError,
 }
 
-/// What the workers share: the counters, both caches, the portfolio's
-/// racer pool and its tuning.
+/// What the workers share: the counters, both caches and the
+/// portfolio's racer pool.
 struct Shared {
     metrics: ServiceMetrics,
     cache: SolutionCache,
     tier: ChainTier,
     racers: RacerPool,
-    portfolio: PortfolioConfig,
 }
 
 /// A running scheduling service.
@@ -232,7 +227,6 @@ impl Engine {
             cache: SolutionCache::new(cfg.cache_capacity, cfg.cache_shards),
             tier,
             racers: RacerPool::new(cfg.racer_threads, cfg.fault_wrap.clone()),
-            portfolio: cfg.portfolio,
         });
         let workers: Vec<JoinHandle<()>> = (0..cfg.workers)
             .filter_map(|i| {
@@ -576,22 +570,24 @@ fn weights_are_valid(tasks: &[TaskSpec]) -> bool {
         && fits(|t| t.weight_little)
 }
 
-/// `true` when the request would run HeRAD (the period objective's
-/// `HeRAD` strategy or portfolio) or `EnergyDP` (the energy objective's
-/// `EnergyDP` strategy or portfolio) on a table past [`MAX_TABLE_CELLS`].
-/// Such a table fails to allocate, and a failed allocation aborts the
-/// process, which no `catch_unwind` can stop.
+/// `true` when the request would run a DP or a two-choice memo on more
+/// than [`MAX_TABLE_CELLS`] states: HeRAD or 2CATAC (`n` rows) for the
+/// period objective, EnergyDP or Energy2CATAC (`n + 1` rows) for the
+/// energy objective, by name or through the portfolio. Such a table fails
+/// to allocate, and a failed allocation aborts the process, which no
+/// `catch_unwind` can stop; a memo that large holds its worker for a
+/// second or more.
 fn table_too_large(request: &ScheduleRequest) -> bool {
-    let (dp, rows) = if request.objective.is_period() {
-        ("HeRAD", request.tasks.len())
+    let (dp, two_choice, rows) = if request.objective.is_period() {
+        ("HeRAD", "2CATAC", request.tasks.len())
     } else {
-        ("EnergyDP", request.tasks.len() + 1)
+        ("EnergyDP", "Energy2CATAC", request.tasks.len() + 1)
     };
-    let runs_dp = match &request.policy {
+    let bounded = match &request.policy {
         Policy::Portfolio => true,
-        Policy::Strategy(name) => name == dp,
+        Policy::Strategy(name) => name == dp || name == two_choice,
     };
-    runs_dp && table_cells(rows, request.resources()).is_none_or(|c| c > MAX_TABLE_CELLS)
+    bounded && table_cells(rows, request.resources()).is_none_or(|c| c > MAX_TABLE_CELLS)
 }
 
 impl Shared {
@@ -693,15 +689,8 @@ impl Shared {
                 let deadline = request
                     .deadline_us
                     .map(|us| Instant::now() + Duration::from_micros(us));
-                let out = portfolio::run(
-                    &chain,
-                    resources,
-                    deadline,
-                    &self.portfolio,
-                    scratch,
-                    &self.racers,
-                )
-                .ok_or(ServiceError::Infeasible)?;
+                let out = portfolio::run(&chain, resources, deadline, scratch, &self.racers)
+                    .ok_or(ServiceError::Infeasible)?;
                 self.metrics.record_portfolio(out.complete);
                 vet(out.strategy, &out.solution)?;
                 ScheduleOutcome::from_solution(out.strategy, &out.solution, &chain, out.complete)
@@ -725,7 +714,7 @@ impl Shared {
     /// float-free). `Policy::Strategy` resolves against the energy registry
     /// ([`energy_strategy_by_name`]); `Policy::Portfolio` runs an anytime
     /// ladder inline on the worker — greedy `EnergyFERTAC` first (always
-    /// finishes), then the budgeted `Energy2CATAC`, then the exact
+    /// finishes), then the memoized two-choice `Energy2CATAC`, then the exact
     /// `EnergyDP` — checking the deadline between members. The outcome is
     /// `complete` (and therefore cacheable) only when the exact DP ran, so
     /// a deadline-truncated answer is never replayed as minimal.
@@ -758,9 +747,7 @@ impl Shared {
                     .map(|us| Instant::now() + Duration::from_micros(us));
                 let members: [Box<dyn EnergyScheduler>; 3] = [
                     Box::new(EnergyFertac),
-                    Box::new(EnergyTwocatac::with_node_budget(
-                        self.portfolio.twocatac_node_budget,
-                    )),
+                    Box::new(EnergyTwocatac::new()),
                     Box::new(EnergyDp::new()),
                 ];
                 let last = members.len() - 1;
@@ -1419,9 +1406,10 @@ mod tests {
     /// are bounded: HeRAD on 2²⁰ + 2²⁰ cores needs an 88 TB table, and two
     /// skewed pools that each fit would grow the chain's tier table to
     /// their union, 2·100 001² cells. A pool past the cell bound is a
-    /// typed `PoolTooLarge` for HeRAD, `EnergyDP` and both portfolios,
-    /// greedy strategies still answer it, the skewed pair costs two cold
-    /// solves, and the worker keeps serving.
+    /// typed `PoolTooLarge` for HeRAD, `EnergyDP`, the two-choice
+    /// strategies and both portfolios, the one-pass greedy strategies
+    /// still answer it, the skewed pair costs two cold solves, and the
+    /// worker keeps serving.
     #[test]
     fn huge_pools_are_answered_and_the_worker_keeps_serving() {
         let e = engine(1);
@@ -1437,7 +1425,9 @@ mod tests {
         for (policy, objective, too_large) in [
             (strategy("HeRAD"), &period, true),
             (Policy::Portfolio, &period, true),
+            (strategy("2CATAC"), &period, true),
             (strategy("EnergyDP"), &energy, true),
+            (strategy("Energy2CATAC"), &energy, true),
             (Policy::Portfolio, &energy, true),
             (strategy("FERTAC"), &period, false),
             (strategy("EnergyFERTAC"), &energy, false),

@@ -16,8 +16,8 @@
 //!   extraction (growing in place when a larger pool arrives), with
 //!   snapshot persistence for warm restarts;
 //! * **[`portfolio`]** — a deadline-bounded strategy portfolio: FERTAC
-//!   inline for an instant feasible answer, HeRAD and a node-budgeted
-//!   2CATAC raced on the persistent racer pool, best period (ties:
+//!   inline for an instant feasible answer, HeRAD and 2CATAC raced on
+//!   the persistent racer pool, best period (ties:
 //!   fewest big cores, then fewest cores — the paper's secondary
 //!   objective) wins; only runs where every member reported are marked
 //!   `complete` and thus cacheable;
@@ -74,7 +74,7 @@ pub use chain_tier::{ChainTier, ChainTierStats, SnapshotError, TierFaultHook, Ti
 pub use engine::{Engine, EngineConfig, RejectedBatch};
 pub use error::ServiceError;
 pub use metrics::{MetricsSnapshot, ServiceMetrics};
-pub use portfolio::{PortfolioConfig, PortfolioOutcome};
+pub use portfolio::PortfolioOutcome;
 pub use racer::{solution_is_sound, RacerPool, RacerPoolStats, StrategyWrap};
 pub use request::{
     format_period, parse_period, Objective, Policy, ScheduleOutcome, ScheduleRequest,

@@ -2,8 +2,9 @@
 //!
 //! One request, three strategies, bounded wall-clock: FERTAC runs
 //! immediately on the calling thread (microseconds, always finishes),
-//! while HeRAD (optimal but `O(n²·b·l)` DP) and a node-budgeted 2CATAC
-//! race on the engine's persistent [`RacerPool`]. The portfolio then
+//! while HeRAD (optimal but `O(n²·b·l)` DP) and 2CATAC (a memoized
+//! two-choice search over the same `(task, big, little)` states) race on
+//! the engine's persistent [`RacerPool`]. The portfolio then
 //! collects racer reports until the deadline and returns the best
 //! solution seen:
 //!
@@ -42,22 +43,6 @@ use amp_core::{Ratio, Resources, Solution, TaskChain};
 use crossbeam::channel;
 
 use crate::racer::{self, RacerJob, RacerPool, RacerResult};
-
-/// Tuning knobs of the portfolio.
-#[derive(Clone, Copy, Debug)]
-pub struct PortfolioConfig {
-    /// Node budget handed to [`Twocatac::with_node_budget`]; bounds the
-    /// two-choice search tree so the racer cannot go exponential.
-    pub twocatac_node_budget: u64,
-}
-
-impl Default for PortfolioConfig {
-    fn default() -> Self {
-        PortfolioConfig {
-            twocatac_node_budget: 200_000,
-        }
-    }
-}
 
 /// Number of racing strategies a portfolio run submits to the pool.
 pub const N_RACERS: usize = 2;
@@ -113,7 +98,6 @@ pub fn run(
     chain: &TaskChain,
     resources: Resources,
     deadline: Option<Instant>,
-    cfg: &PortfolioConfig,
     scratch: &mut SchedScratch,
     pool: &RacerPool,
 ) -> Option<PortfolioOutcome> {
@@ -121,10 +105,8 @@ pub fn run(
     let cancel = Arc::new(AtomicBool::new(false));
     let _cancel_guard = CancelOnDrop(Arc::clone(&cancel));
     let generation = pool.next_generation();
-    let racers: [Box<dyn Scheduler>; N_RACERS] = [
-        Box::new(Herad::new()),
-        Box::new(Twocatac::with_node_budget(cfg.twocatac_node_budget)),
-    ];
+    let racers: [Box<dyn Scheduler>; N_RACERS] =
+        [Box::new(Herad::new()), Box::new(Twocatac::new())];
     let mut submitted = 0usize;
     for strategy in racers {
         let accepted = pool.try_submit(RacerJob {
@@ -270,15 +252,7 @@ mod tests {
         let c = chain();
         let res = Resources::new(2, 2);
         let pool = RacerPool::new(2, None);
-        let out = run(
-            &c,
-            res,
-            None,
-            &PortfolioConfig::default(),
-            &mut SchedScratch::new(),
-            &pool,
-        )
-        .expect("feasible");
+        let out = run(&c, res, None, &mut SchedScratch::new(), &pool).expect("feasible");
         let opt = Herad::new().optimal_period(&c, res).expect("feasible");
         assert_eq!(out.period, opt);
         assert!(out.complete);
@@ -292,15 +266,8 @@ mod tests {
         let res = Resources::new(2, 2);
         let pool = RacerPool::new(2, None);
         let deadline = Instant::now(); // already passed once we wait
-        let out = run(
-            &c,
-            res,
-            Some(deadline),
-            &PortfolioConfig::default(),
-            &mut SchedScratch::new(),
-            &pool,
-        )
-        .expect("FERTAC always reports");
+        let out = run(&c, res, Some(deadline), &mut SchedScratch::new(), &pool)
+            .expect("FERTAC always reports");
         assert!(out.solution.validate(&c).is_ok());
         assert!(out.solution.is_valid(&c, res, out.period));
         // FERTAC's period bounds the result from above even if a racer
@@ -316,7 +283,6 @@ mod tests {
             &chain(),
             Resources::new(0, 0),
             None,
-            &PortfolioConfig::default(),
             &mut SchedScratch::new(),
             &pool,
         )
@@ -332,15 +298,8 @@ mod tests {
         let c = chain();
         let res = Resources::new(2, 2);
         let pool = RacerPool::new(2, Some(panic_in("HeRAD")));
-        let out = run(
-            &c,
-            res,
-            None,
-            &PortfolioConfig::default(),
-            &mut SchedScratch::new(),
-            &pool,
-        )
-        .expect("FERTAC and 2CATAC still answer");
+        let out = run(&c, res, None, &mut SchedScratch::new(), &pool)
+            .expect("FERTAC and 2CATAC still answer");
         assert!(
             !out.complete,
             "a panicked racer must not certify completeness"
@@ -361,7 +320,6 @@ mod tests {
             &c,
             res,
             Some(Instant::now()),
-            &PortfolioConfig::default(),
             &mut SchedScratch::new(),
             &pool,
         )
@@ -378,15 +336,8 @@ mod tests {
         let c = chain();
         let res = Resources::new(2, 2);
         let pool = RacerPool::new(0, None);
-        let out = run(
-            &c,
-            res,
-            None,
-            &PortfolioConfig::default(),
-            &mut SchedScratch::new(),
-            &pool,
-        )
-        .expect("inline FERTAC still answers");
+        let out = run(&c, res, None, &mut SchedScratch::new(), &pool)
+            .expect("inline FERTAC still answers");
         assert_eq!(out.strategy, "FERTAC");
         assert!(!out.complete);
         let fertac = Fertac.schedule(&c, res).unwrap();
@@ -425,15 +376,8 @@ mod tests {
         let c = chain();
         let res = Resources::new(2, 2);
         let pool = RacerPool::new(2, Some(wrap));
-        let out = run(
-            &c,
-            res,
-            None,
-            &PortfolioConfig::default(),
-            &mut SchedScratch::new(),
-            &pool,
-        )
-        .expect("other members answer");
+        let out =
+            run(&c, res, None, &mut SchedScratch::new(), &pool).expect("other members answer");
         assert!(!out.complete);
         assert!(out.solution.validate(&c).is_ok());
         assert_eq!(pool.stats().invalid, 1);

@@ -46,7 +46,7 @@ pub enum Policy {
     /// [`amp_core::sched::strategy_by_name`]).
     Strategy(String),
     /// Run the deadline-bounded portfolio: FERTAC immediately, HeRAD and
-    /// a budgeted 2CATAC raced on worker threads, best result wins.
+    /// 2CATAC raced on worker threads, best result wins.
     Portfolio,
 }
 

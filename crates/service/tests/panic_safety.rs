@@ -21,8 +21,8 @@ use std::sync::Arc;
 use amp_core::sched::{Fertac, SchedScratch, Scheduler};
 use amp_core::{Resources, Solution, Task, TaskChain};
 use amp_service::{
-    Engine, EngineConfig, Policy, PortfolioConfig, ScheduleOutcome, ScheduleRequest, ServiceError,
-    StrategyWrap, TierFaultHook,
+    Engine, EngineConfig, Policy, ScheduleOutcome, ScheduleRequest, ServiceError, StrategyWrap,
+    TierFaultHook,
 };
 use crossbeam::channel;
 
@@ -97,7 +97,6 @@ fn chaos_engine(workers: usize, wrap: StrategyWrap) -> Engine {
         queue_depth: 256,
         cache_capacity: 512,
         cache_shards: 4,
-        portfolio: PortfolioConfig::default(),
         fault_wrap: Some(wrap),
         ..EngineConfig::default()
     })

@@ -13,8 +13,7 @@ use std::time::Instant;
 use amp_core::sched::{Herad, SchedScratch, Scheduler};
 use amp_core::{Resources, Task, TaskChain};
 use amp_service::{
-    portfolio, CacheKey, Engine, EngineConfig, Policy, PortfolioConfig, RacerPool, ScheduleRequest,
-    SolutionCache,
+    portfolio, CacheKey, Engine, EngineConfig, Policy, RacerPool, ScheduleRequest, SolutionCache,
 };
 use proptest::prelude::*;
 
@@ -35,7 +34,6 @@ fn small_engine() -> Engine {
         queue_depth: 32,
         cache_capacity: 256,
         cache_shards: 4,
-        portfolio: PortfolioConfig::default(),
         fault_wrap: None,
         ..EngineConfig::default()
     })
@@ -82,7 +80,7 @@ proptest! {
         prop_assert_eq!(ka.fingerprint(), kb.fingerprint());
 
         let pool = RacerPool::new(2, None);
-        let out = portfolio::run(&chain, res, None, &PortfolioConfig::default(), &mut SchedScratch::new(), &pool);
+        let out = portfolio::run(&chain, res, None, &mut SchedScratch::new(), &pool);
         prop_assume!(out.is_some());
         let out = out.unwrap();
         let outcome = amp_service::ScheduleOutcome::from_solution(
@@ -100,7 +98,7 @@ proptest! {
     #[test]
     fn unlimited_deadline_is_herad_optimal((chain, res) in instance()) {
         let pool = RacerPool::new(2, None);
-        let out = portfolio::run(&chain, res, None, &PortfolioConfig::default(), &mut SchedScratch::new(), &pool)
+        let out = portfolio::run(&chain, res, None, &mut SchedScratch::new(), &pool)
             .expect("at least one core is available");
         prop_assert!(out.complete);
         let opt = Herad::new().optimal_period(&chain, res).unwrap();
@@ -115,7 +113,7 @@ proptest! {
     fn tight_deadline_is_valid_and_fertac_or_better((chain, res) in instance()) {
         let deadline = Some(Instant::now());
         let pool = RacerPool::new(2, None);
-        let out = portfolio::run(&chain, res, deadline, &PortfolioConfig::default(), &mut SchedScratch::new(), &pool)
+        let out = portfolio::run(&chain, res, deadline, &mut SchedScratch::new(), &pool)
             .expect("FERTAC always answers feasible instances");
         prop_assert!(out.solution.validate(&chain).is_ok());
         prop_assert!(out.solution.is_valid(&chain, res, out.period));

@@ -8,7 +8,7 @@
 //! spawning engines concurrently).
 
 use amp_core::{Resources, Task, TaskChain};
-use amp_service::{Engine, EngineConfig, Policy, PortfolioConfig, ScheduleRequest};
+use amp_service::{Engine, EngineConfig, Policy, ScheduleRequest};
 
 fn chain_for(seed: u64) -> TaskChain {
     let len = 1 + (seed % 9) as usize;
@@ -44,7 +44,6 @@ fn warm_portfolio_requests_spawn_no_new_threads() {
         queue_depth: 64,
         cache_capacity: 64,
         cache_shards: 2,
-        portfolio: PortfolioConfig::default(),
         fault_wrap: None,
         ..EngineConfig::default()
     });

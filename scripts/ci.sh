@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
 # Repo CI gate: formatting, lints, then the tier-1 build-and-test pass.
+# This is the one list of CI steps: .github/workflows/ci.yml runs this
+# script and only uploads the BENCH_*/SNAP_* reports it writes.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -105,9 +107,13 @@ cargo run --release -p amp-experiments --bin reconfig_sweep -- --smoke --out BEN
 # host load moves the timings, so they are asserted here. The two long
 # runtime runs ride along: the ordered ring's n->m liveness check over a
 # million frames, and a sink record that stays flat over a hundred
-# million departures of an unbounded launch.
+# million departures of an unbounded launch. The wide differential check
+# of memoized 2CATAC against the two-branch recursion (every probe of
+# 4000 seeded chains of up to 40 tasks on pools up to 20+20) rides along
+# too: it is long rather than timed.
 cargo test --release -q -p amp-runtime --test throughput -- --ignored
 cargo test --release -q -p amp-runtime --lib profiler -- --ignored
 cargo test --release -q -p amp-runtime --lib -- --ignored --exact adaptor::tests::n_to_m_stays_live_for_a_million_frames pipeline::tests::unbounded_launch_keeps_a_flat_sink_record_for_1e8_departures
 cargo test --release -q -p amp-integration-tests --test end_to_end -- --ignored
 cargo test --release -q -p amp-conformance --test sweep_warm_start -- --ignored
+cargo test --release -q -p amp-core --lib -- --ignored --exact sched::twocatac::tests::memo_matches_the_recursion_up_to_40_tasks_on_20_plus_20
