@@ -1,10 +1,10 @@
 //! # amp-net — wire-level RPC front end for the scheduling service
 //!
 //! A dependency-light TCP server that puts the sharded scheduling
-//! engine ([`amp_service::EngineShards`]) on a socket, plus the seeded
-//! load generator that audits it. Built entirely on `std::net` and
-//! bounded threads — no async runtime — with the workspace's canonical
-//! JSON codec ([`amp_core::json`]) as the wire format.
+//! engine ([`amp_service::EngineShards`]) on a socket. Built entirely on
+//! `std::net` and bounded threads — no async runtime — with the
+//! workspace's canonical JSON codec ([`amp_core::json`]) as the wire
+//! format.
 //!
 //! The crate divides along the request path:
 //!
@@ -32,15 +32,8 @@
 //!   slots across lock shards (no global accept/close bottleneck) plus
 //!   JoinHandle reaping so a long-lived server retains a bounded number
 //!   of finished handles.
-//! * [`loadgen`] — the seeded socket load generator: M pipelined
-//!   connections, id-partitioned audit proving zero lost, duplicated or
-//!   misrouted responses, and a latency/throughput report, with
-//!   fixed-count, sustained `--duration` (open-loop paced) and
-//!   `--scaling` (latency-vs-connections sweep) modes. The `net_loadgen`
-//!   binary wraps it for the CLI and the CI smoke gate.
 
 pub mod admission;
-pub mod loadgen;
 pub mod metrics;
 pub mod proto;
 pub mod registry;
@@ -48,7 +41,6 @@ pub mod server;
 pub mod wire;
 
 pub use admission::{InflightWindow, QuotaConfig, TenantQuotas};
-pub use loadgen::{LoadConfig, LoadReport, ScalingPoint, ScalingReport};
 pub use metrics::{NetMetrics, NetSnapshot};
 pub use proto::{ClientResponse, WireError, WireRequest};
 pub use registry::ConnRegistry;

@@ -395,7 +395,7 @@ fn task(lx: &mut Lexer<'_>) -> Result<Result<TaskSpec, &'static str>, JsonError>
     })
 }
 
-/// Renders a schedule request as one frame (the client/loadgen side of
+/// Renders a schedule request as one frame (the client side of
 /// [`parse_request`]). `tenant` is omitted when `"public"`.
 #[must_use]
 pub fn render_request(request: &ScheduleRequest, tenant: &str) -> String {
@@ -620,81 +620,6 @@ fn push_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// What [`scan_response`] recovers from a frame without building a
-/// `Json` tree.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ScannedResponse {
-    /// Echoed correlation id, when present.
-    pub id: Option<u64>,
-    /// `Ok(cache_hit)` for success frames, `Err(code)` for errors.
-    pub outcome: Result<bool, String>,
-}
-
-/// Parses a response frame by shape instead of by grammar — the load
-/// generator's high-rate client path.
-///
-/// Canonical server frames always start `{"id":` (success; keys sort id
-/// < ok) or `{"err":` (errors; a trailing `,"id":N` when correlatable).
-/// Because the canonical renderer escapes every `"` inside string
-/// values, the byte sequences this scanner matches cannot occur inside
-/// message text — the scan is exact on server-rendered frames, and
-/// anything shaped differently falls back to the full codec parse, so
-/// the scanner is never *less* correct than [`parse_response`].
-/// Equivalence is pinned by proptests in this module.
-pub fn scan_response(line: &str) -> Result<ScannedResponse, WireError> {
-    if let Some(rest) = line.strip_prefix("{\"id\":") {
-        let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
-        if digits > 0 {
-            if let Ok(id) = rest[..digits].parse::<u64>() {
-                if rest[digits..].starts_with(",\"ok\":{\"cache_hit\":") {
-                    let cached = rest[digits..].starts_with(",\"ok\":{\"cache_hit\":true");
-                    return Ok(ScannedResponse {
-                        id: Some(id),
-                        outcome: Ok(cached),
-                    });
-                }
-            }
-        }
-    } else if let Some(rest) = line.strip_prefix("{\"err\":{\"code\":\"") {
-        let code_len = rest
-            .bytes()
-            .take_while(|b| b.is_ascii_uppercase() || *b == b'_')
-            .count();
-        if code_len > 0 && rest[code_len..].starts_with('"') {
-            let code = rest[..code_len].to_string();
-            // A correlatable error carries its id last: `...},"id":N}`.
-            // `,"id":` cannot occur inside a rendered string (quotes are
-            // escaped there), so a raw match is exact.
-            let body = &line[..line.len().saturating_sub(1)];
-            let id = body.rfind(",\"id\":").and_then(|p| {
-                let digits = &body[p + 6..];
-                (!digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit()))
-                    .then(|| digits.parse().ok())
-                    .flatten()
-            });
-            if line.ends_with('}') {
-                return Ok(ScannedResponse {
-                    id,
-                    outcome: Err(code),
-                });
-            }
-        }
-    }
-    // Unrecognized shape: fall back to the full parse.
-    let parsed = parse_response(line)?;
-    Ok(ScannedResponse {
-        id: parsed.id,
-        outcome: match parsed.result {
-            Ok(payload) => Ok(payload
-                .as_obj()
-                .and_then(|o| o.get("cache_hit"))
-                .and_then(Json::as_bool)
-                .unwrap_or(false)),
-            Err((code, _)) => Err(code),
-        },
-    })
-}
-
 /// Renders an error frame (no trailing newline) through the `Json` tree,
 /// the oracle for [`render_error_line`]. `id` is echoed when the
 /// offending frame carried one.
@@ -722,7 +647,7 @@ pub struct ClientResponse {
     pub result: Result<Json, (String, String)>,
 }
 
-/// Parses a response frame (the client/loadgen side).
+/// Parses a response frame (the client side).
 pub fn parse_response(line: &str) -> Result<ClientResponse, WireError> {
     let value = Json::parse(line).map_err(|e| WireError::parse(e.to_string()))?;
     let Json::Obj(mut fields) = value else {
@@ -1505,71 +1430,5 @@ mod tests {
         out.clear();
         render_response_line(&resp, &mut out);
         assert_eq!(out.capacity(), warm_cap, "warm render must not regrow");
-    }
-
-    /// The fast scanner must agree with the full parser on every frame
-    /// the server can emit, and fall back (not misparse) on anything
-    /// shaped differently.
-    #[test]
-    fn scanner_agrees_with_parser() {
-        let req = request();
-        let chain = req.chain();
-        let solution = amp_core::sched::Fertac
-            .schedule(&chain, req.resources())
-            .expect("feasible");
-        let base = ScheduleOutcome::from_solution("FERTAC", &solution, &chain, true);
-        let mut cached = base.clone();
-        cached.cache_hit = true;
-        let mut frames = vec![
-            render_response(&ScheduleResponse {
-                id: 7,
-                result: Ok(base.clone()),
-            }),
-            render_response(&ScheduleResponse {
-                id: u64::MAX,
-                result: Ok(cached),
-            }),
-            render_response(&ScheduleResponse {
-                id: 0,
-                result: Ok(base.with_energy_milliwatts(5)),
-            }),
-            render_response(&ScheduleResponse {
-                id: 11,
-                result: Err(amp_service::ServiceError::Overloaded),
-            }),
-            render_error(Some(3), "QUOTA_EXCEEDED", "tenant over budget"),
-            render_error(None, "FRAME_TOO_LARGE", "line exceeded 65536 bytes"),
-            // Adversarial: error messages that *mention* scanner
-            // landmarks — escaping keeps them unambiguous on the wire.
-            render_error(Some(8), "BAD_REQUEST", "literal \",\\\"id\\\":9\" inside"),
-            render_error(None, "PARSE_ERROR", "{\"id\":5,\"ok\":{\"cache_hit\":true"),
-            // Non-canonical but valid frames must take the fallback.
-            "{\"ok\":{\"cache_hit\":true},\"id\":4}".to_string(),
-            "{ \"id\" : 6 , \"ok\" : { \"cache_hit\" : false } }".to_string(),
-        ];
-        // Pong/status-style frames also flow through client readers.
-        frames.push("{\"ok\":\"pong\"}".to_string());
-        for frame in &frames {
-            let scanned = scan_response(frame).expect("scan accepts valid frames");
-            let parsed = parse_response(frame).expect("parser accepts valid frames");
-            assert_eq!(scanned.id, parsed.id, "id mismatch on {frame}");
-            match (&scanned.outcome, &parsed.result) {
-                (Ok(cached), Ok(payload)) => {
-                    let expect = payload
-                        .as_obj()
-                        .and_then(|o| o.get("cache_hit"))
-                        .and_then(Json::as_bool)
-                        .unwrap_or(false);
-                    assert_eq!(*cached, expect, "cache_hit mismatch on {frame}");
-                }
-                (Err(code), Err((expect, _))) => {
-                    assert_eq!(code, expect, "code mismatch on {frame}");
-                }
-                other => panic!("outcome class mismatch on {frame}: {other:?}"),
-            }
-        }
-        // Garbage errors in both.
-        assert!(scan_response("not json").is_err());
-        assert!(scan_response("{\"neither\":1}").is_err());
     }
 }

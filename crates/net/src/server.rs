@@ -104,7 +104,7 @@ impl Default for ServerConfig {
             shards,
             per_shard: EngineConfig {
                 workers,
-                racer_threads: workers * 2,
+                racer_threads: workers,
                 queue_depth: 256,
                 cache_capacity: 1024,
                 cache_shards: 8,

@@ -16,6 +16,7 @@
 use std::io::{self, IoSlice, Write};
 
 use amp_conformance::alloc_track::{count_thread_allocs, TrackingAllocator};
+use amp_core::json::Json;
 use amp_core::sched::Scheduler;
 use amp_core::{Resources, Task, TaskChain};
 use amp_net::proto::{parse_request, render_error_line, render_request, render_response_line};
@@ -67,17 +68,26 @@ fn sample_response() -> ScheduleResponse {
 }
 
 /// One pump cycle: render a full cork of responses into pooled buffers,
-/// vector-write them, recycle the buffers.
+/// vector-write them, recycle the buffers. The first `oracle_frames`
+/// frames are re-rendered through a `Json` tree, which allocates: the
+/// negative test's stray allocation.
 fn pump_cycle(
     response: &mut ScheduleResponse,
     pool: &mut BufPool,
     cork: &mut Vec<String>,
     sink: &mut NullSink,
+    oracle_frames: usize,
 ) {
-    for _ in 0..CORK_MAX {
+    for i in 0..CORK_MAX {
         response.id = response.id.wrapping_add(1);
         let mut buf = pool.rent();
         render_response_line(response, &mut buf);
+        if i < oracle_frames {
+            let tree = Json::parse(buf.trim_end()).expect("a rendered frame parses");
+            buf.clear();
+            buf.push_str(&tree.render_compact());
+            buf.push('\n');
+        }
         cork.push(buf);
     }
     write_frames(sink, cork).expect("sink never fails");
@@ -86,25 +96,55 @@ fn pump_cycle(
     }
 }
 
-#[test]
-fn steady_state_response_path_allocates_nothing() {
+/// The gate's measurement: heap allocations over 256 warm pump cycles.
+fn warm_pump_allocs(oracle_frames: usize) -> u64 {
     let mut response = sample_response();
     let mut pool = BufPool::new(CORK_MAX);
     let mut cork: Vec<String> = Vec::with_capacity(CORK_MAX);
     let mut sink = NullSink;
     // Warmup: grow every buffer to frame size and fill the pool.
     for _ in 0..4 {
-        pump_cycle(&mut response, &mut pool, &mut cork, &mut sink);
+        pump_cycle(
+            &mut response,
+            &mut pool,
+            &mut cork,
+            &mut sink,
+            oracle_frames,
+        );
     }
     let (_, allocs) = count_thread_allocs(|| {
         for _ in 0..256 {
-            pump_cycle(&mut response, &mut pool, &mut cork, &mut sink);
+            pump_cycle(
+                &mut response,
+                &mut pool,
+                &mut cork,
+                &mut sink,
+                oracle_frames,
+            );
         }
     });
+    allocs
+}
+
+#[test]
+fn steady_state_response_path_allocates_nothing() {
+    let allocs = warm_pump_allocs(0);
     assert_eq!(
         allocs, 0,
         "warm framing+write path must not allocate (got {allocs} allocations \
          over 256 corks of {CORK_MAX} responses)"
+    );
+}
+
+/// The counter sees the window it measures: one frame per cork rendered
+/// through the tree oracle fails the gate.
+#[test]
+fn one_stray_allocation_per_cycle_fails_the_gate() {
+    let allocs = warm_pump_allocs(1);
+    assert!(
+        allocs >= 256,
+        "one tree-rendered frame per cork must count at least one allocation \
+         per cycle (got {allocs} over 256 cycles)"
     );
 }
 

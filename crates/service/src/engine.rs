@@ -119,9 +119,9 @@ impl Default for EngineConfig {
         let workers = thread::available_parallelism().map_or(4, usize::from);
         EngineConfig {
             workers,
-            // Two racers per in-flight portfolio request; sized so every
-            // worker can have both of its racers running at once.
-            racer_threads: workers * 2,
+            // One racer (HeRAD) per in-flight portfolio request; sized so
+            // every worker can have its racer running at once.
+            racer_threads: workers,
             queue_depth: 1024,
             cache_capacity: 4096,
             cache_shards: 16,

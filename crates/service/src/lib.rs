@@ -16,11 +16,10 @@
 //!   extraction (growing in place when a larger pool arrives), with
 //!   snapshot persistence for warm restarts;
 //! * **[`portfolio`]** — a deadline-bounded strategy portfolio: FERTAC
-//!   inline for an instant feasible answer, HeRAD and 2CATAC raced on
-//!   the persistent racer pool, best period (ties:
-//!   fewest big cores, then fewest cores — the paper's secondary
-//!   objective) wins; only runs where every member reported are marked
-//!   `complete` and thus cacheable;
+//!   inline for an instant feasible answer, HeRAD on the persistent
+//!   racer pool, best period (ties: fewest big cores, then fewest
+//!   cores — the paper's secondary objective) wins; only runs where
+//!   HeRAD reported are marked `complete` and thus cacheable;
 //! * **[`racer`]** — a persistent, bounded pool of racer threads with
 //!   cooperative per-request cancellation, panic containment and
 //!   racer-side solution validation (no per-request `thread::spawn`);

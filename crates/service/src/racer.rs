@@ -138,8 +138,8 @@ impl RacerPool {
     /// inline FERTAC member). `wrap` is the fault-injection seam.
     #[must_use]
     pub fn new(threads: usize, wrap: Option<StrategyWrap>) -> Self {
-        // Enough queue for every engine worker to have both racers of
-        // its current request in flight, plus slack for abandoned jobs
+        // Enough queue for every engine worker to have the racer of its
+        // current request in flight, plus slack for abandoned jobs
         // awaiting their cancellation skip.
         let (job_tx, job_rx) = channel::bounded::<RacerJob>(threads.max(1) * 4 + 4);
         let shared = Arc::new(RacerShared::default());

@@ -45,8 +45,8 @@ pub enum Policy {
     /// Run exactly one named strategy (a Table I display name accepted by
     /// [`amp_core::sched::strategy_by_name`]).
     Strategy(String),
-    /// Run the deadline-bounded portfolio: FERTAC immediately, HeRAD and
-    /// 2CATAC raced on worker threads, best result wins.
+    /// Run the deadline-bounded portfolio: FERTAC immediately, HeRAD on
+    /// a racer thread, best result wins.
     Portfolio,
 }
 

@@ -158,8 +158,10 @@ fn chaos_run_loses_no_requests_and_restores_the_pool() {
     let m = engine.metrics();
     assert_eq!(m.responses, accepted);
     assert_eq!(m.workers_alive, 4, "pool must be restored to full size");
+    // Two requests in three are portfolio requests, and a portfolio miss
+    // runs FERTAC and HeRAD through the wrap.
     assert!(
-        calls.load(Ordering::Relaxed) >= REQUESTS,
+        calls.load(Ordering::Relaxed) >= REQUESTS * 2 / 3,
         "chaos actually ran"
     );
     assert!(
