@@ -220,7 +220,7 @@ impl ChaosHarness {
         let counters = Arc::new(ChaosCounters::default());
         let engine = Engine::start(EngineConfig {
             workers: cfg.workers,
-            racer_threads: cfg.workers * 2,
+            racer_threads: cfg.workers,
             queue_depth: 256,
             cache_capacity: 1024,
             cache_shards: 4,

@@ -263,6 +263,19 @@ impl Solution {
         used_cores_of(&self.stages)
     }
 
+    /// The most frames a pipeline executing this solution keeps in
+    /// flight, from the source stage's claim to the sink's departure:
+    /// `W = 2 Σ r_i + (|s| − 1)`. Twice the replicas keeps the period
+    /// under service-time jitter, and with rings of at most 2 frames a
+    /// pipeline never holds more than `Σ r_i + 2(|s| − 1) ≤ W` frames, so
+    /// there the window never binds. `amp-sim` and `amp-runtime` both
+    /// take their window from here.
+    #[must_use]
+    pub fn in_flight_window(&self) -> u64 {
+        let replicas: u64 = self.stages.iter().map(|s| s.cores).sum();
+        2 * replicas + self.stages.len().saturating_sub(1) as u64
+    }
+
     /// `IsValid` (Algorithm 3): non-empty, period within `target`, and the
     /// resource constraints of Eq. (3).
     #[must_use]
@@ -405,6 +418,19 @@ mod tests {
         // stage weights: 4, 15/2, 6 -> period 15/2
         assert_eq!(s.period(&c), Ratio::new(15, 2));
         assert!((s.throughput(&c) - 2.0 / 15.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn in_flight_window_is_twice_the_replicas_plus_the_links() {
+        // 4 replicas over 3 stages: 2 * 4 + 2.
+        assert_eq!(solution().in_flight_window(), 10);
+        let one = Solution::new(vec![Stage::new(0, 4, 3, CoreType::Big)]);
+        assert_eq!(one.in_flight_window(), 6);
+        let stream = Solution::new(vec![
+            Stage::new(0, 17, 1, CoreType::Big),
+            Stage::new(18, 22, 1, CoreType::Little),
+        ]);
+        assert_eq!(stream.in_flight_window(), 5);
     }
 
     #[test]

@@ -60,8 +60,6 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use amp_core::json::{Json, JsonError, Lexer, Token};
 use amp_core::CoreType;
-#[cfg(test)]
-use amp_service::ScheduleOutcome;
 use amp_service::{Objective, Policy, ScheduleRequest, ScheduleResponse, TaskSpec};
 
 /// A transport-level rejection, answered without entering the engine.
@@ -442,68 +440,6 @@ pub fn render_request(request: &ScheduleRequest, tenant: &str) -> String {
     Json::Obj(fields).render_compact()
 }
 
-/// Renders an outcome as the `ok` payload.
-#[cfg(test)]
-fn outcome_json(outcome: &ScheduleOutcome) -> Json {
-    let mut fields = BTreeMap::new();
-    fields.insert("strategy".to_string(), Json::Str(outcome.strategy.clone()));
-    fields.insert("period".to_string(), Json::Str(outcome.period.clone()));
-    fields.insert(
-        "decomposition".to_string(),
-        Json::Str(outcome.decomposition.clone()),
-    );
-    fields.insert(
-        "stages".to_string(),
-        Json::Arr(
-            outcome
-                .stages
-                .iter()
-                .map(|s| {
-                    Json::Arr(vec![
-                        Json::Int(s.start as u64),
-                        Json::Int(s.end as u64),
-                        Json::Int(s.cores),
-                        Json::Str(
-                            match s.core_type {
-                                CoreType::Big => "B",
-                                CoreType::Little => "L",
-                            }
-                            .to_string(),
-                        ),
-                    ])
-                })
-                .collect(),
-        ),
-    );
-    fields.insert("used_big".to_string(), Json::Int(outcome.used_big));
-    fields.insert("used_little".to_string(), Json::Int(outcome.used_little));
-    fields.insert("cache_hit".to_string(), Json::Bool(outcome.cache_hit));
-    fields.insert("complete".to_string(), Json::Bool(outcome.complete));
-    // Present exactly when the request's objective was energy; period
-    // responses stay byte-identical to the pre-energy wire.
-    if let Some(mw) = outcome.energy_milliwatts {
-        fields.insert("energy_mw".to_string(), Json::Int(mw));
-    }
-    Json::Obj(fields)
-}
-
-/// Renders an engine response as one frame (no trailing newline) through
-/// the `Json` tree: the oracle that the streaming renderers are tested
-/// against.
-#[cfg(test)]
-#[must_use]
-pub fn render_response(response: &ScheduleResponse) -> String {
-    match &response.result {
-        Ok(outcome) => {
-            let mut fields = BTreeMap::new();
-            fields.insert("id".to_string(), Json::Int(response.id));
-            fields.insert("ok".to_string(), outcome_json(outcome));
-            Json::Obj(fields).render_compact()
-        }
-        Err(e) => render_error(Some(response.id), e.code(), &e.to_string()),
-    }
-}
-
 /// Appends one response frame *plus its newline* to `out` without
 /// building a `Json` tree — the pump's allocation-free framing path.
 ///
@@ -620,23 +556,6 @@ fn push_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Renders an error frame (no trailing newline) through the `Json` tree,
-/// the oracle for [`render_error_line`]. `id` is echoed when the
-/// offending frame carried one.
-#[cfg(test)]
-#[must_use]
-pub fn render_error(id: Option<u64>, code: &str, message: &str) -> String {
-    let mut err = BTreeMap::new();
-    err.insert("code".to_string(), Json::Str(code.to_string()));
-    err.insert("message".to_string(), Json::Str(message.to_string()));
-    let mut fields = BTreeMap::new();
-    if let Some(id) = id {
-        fields.insert("id".to_string(), Json::Int(id));
-    }
-    fields.insert("err".to_string(), Json::Obj(err));
-    Json::Obj(fields).render_compact()
-}
-
 /// A response frame as the client sees it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ClientResponse {
@@ -680,9 +599,84 @@ mod tests {
     use super::*;
     use amp_core::sched::Scheduler;
     use amp_core::{Resources, Task, TaskChain};
+    use amp_service::ScheduleOutcome;
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
+
+    /// Renders an outcome as the `ok` payload.
+    fn outcome_json(outcome: &ScheduleOutcome) -> Json {
+        let mut fields = BTreeMap::new();
+        fields.insert("strategy".to_string(), Json::Str(outcome.strategy.clone()));
+        fields.insert("period".to_string(), Json::Str(outcome.period.clone()));
+        fields.insert(
+            "decomposition".to_string(),
+            Json::Str(outcome.decomposition.clone()),
+        );
+        fields.insert(
+            "stages".to_string(),
+            Json::Arr(
+                outcome
+                    .stages
+                    .iter()
+                    .map(|s| {
+                        Json::Arr(vec![
+                            Json::Int(s.start as u64),
+                            Json::Int(s.end as u64),
+                            Json::Int(s.cores),
+                            Json::Str(
+                                match s.core_type {
+                                    CoreType::Big => "B",
+                                    CoreType::Little => "L",
+                                }
+                                .to_string(),
+                            ),
+                        ])
+                    })
+                    .collect(),
+            ),
+        );
+        fields.insert("used_big".to_string(), Json::Int(outcome.used_big));
+        fields.insert("used_little".to_string(), Json::Int(outcome.used_little));
+        fields.insert("cache_hit".to_string(), Json::Bool(outcome.cache_hit));
+        fields.insert("complete".to_string(), Json::Bool(outcome.complete));
+        // Present exactly when the request's objective was energy; period
+        // responses stay byte-identical to the pre-energy wire.
+        if let Some(mw) = outcome.energy_milliwatts {
+            fields.insert("energy_mw".to_string(), Json::Int(mw));
+        }
+        Json::Obj(fields)
+    }
+
+    /// Renders an engine response as one frame (no trailing newline) through
+    /// the `Json` tree: the oracle that the streaming renderers are tested
+    /// against.
+    fn render_response(response: &ScheduleResponse) -> String {
+        match &response.result {
+            Ok(outcome) => {
+                let mut fields = BTreeMap::new();
+                fields.insert("id".to_string(), Json::Int(response.id));
+                fields.insert("ok".to_string(), outcome_json(outcome));
+                Json::Obj(fields).render_compact()
+            }
+            Err(e) => render_error(Some(response.id), e.code(), &e.to_string()),
+        }
+    }
+
+    /// Renders an error frame (no trailing newline) through the `Json` tree,
+    /// the oracle for [`render_error_line`]. `id` is echoed when the
+    /// offending frame carried one.
+    fn render_error(id: Option<u64>, code: &str, message: &str) -> String {
+        let mut err = BTreeMap::new();
+        err.insert("code".to_string(), Json::Str(code.to_string()));
+        err.insert("message".to_string(), Json::Str(message.to_string()));
+        let mut fields = BTreeMap::new();
+        if let Some(id) = id {
+            fields.insert("id".to_string(), Json::Int(id));
+        }
+        fields.insert("err".to_string(), Json::Obj(err));
+        Json::Obj(fields).render_compact()
+    }
 
     fn request() -> ScheduleRequest {
         let chain = TaskChain::new(vec![

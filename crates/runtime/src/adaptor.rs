@@ -209,7 +209,7 @@ impl<D> OrderedRing<D> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{mpsc, Arc};
@@ -411,7 +411,7 @@ mod tests {
 
     /// A short stall on one call in eight: a sleep of up to 31 µs or up
     /// to 15 yields.
-    fn maybe_stall(state: &mut u64) {
+    pub(crate) fn maybe_stall(state: &mut u64) {
         let r = next(state);
         match r % 16 {
             0 => thread::sleep(Duration::from_micros(r >> 59)),

@@ -11,7 +11,7 @@
 
 use crate::adaptor::OrderedRing;
 use crate::report::{ReconfigEvent, RunReport, StageRuntimeReport};
-use crate::sink::SinkRecord;
+use crate::sink::{Sink, SinkRecord};
 use crate::vcore::VirtualMachine;
 use crate::work::TaskWork;
 use amp_core::sched::{schedule_diff, ChainTable, Herad, ScheduleDiff};
@@ -109,6 +109,10 @@ pub struct RunConfig {
     pub max_duration: Option<Duration>,
     /// Capacity of each inter-stage adaptor, in frames. Must be at least
     /// 1: a launch refuses 0 with [`RuntimeError::ZeroQueueCapacity`].
+    /// Whatever the capacity, the source keeps at most
+    /// [`Solution::in_flight_window`] frames in flight across all rings
+    /// and replicas, so no ring fills past that window; with rings of 1
+    /// or 2 frames the window never binds.
     pub queue_capacity: u64,
     /// Leading fraction of sink departures excluded from the steady-state
     /// throughput measurement.
@@ -166,6 +170,9 @@ struct EpochPlan<D> {
     base: u64,
     /// Global frame limit (static across epochs; `u64::MAX` = unbounded).
     limit: u64,
+    /// Most frames in flight ([`Solution::in_flight_window`] of this
+    /// epoch's decomposition).
+    window: u64,
     /// Epoch start, in nanoseconds since the run started.
     start_nanos: u64,
     /// Quiesce request: source replicas stop claiming frames.
@@ -206,8 +213,8 @@ struct Control<D> {
     /// Next frame for the source stage to claim.
     claim: AtomicU64,
     /// Sink departures across all epochs, timed in nanoseconds since the
-    /// run started.
-    sink: Mutex<SinkRecord>,
+    /// run started, and the source's credit window over them.
+    sink: Sink,
 }
 
 /// Executes one worker's role for one epoch, then returns so the worker
@@ -238,17 +245,17 @@ fn run_role<D: Send + 'static>(
     };
     let deliver = |seq: u64, data: D| match &ring_out {
         Some(out) => out.push(seq, data),
-        None => {
-            // Timed under the lock, so departures arrive in time order.
-            let mut sink = control.sink.lock();
-            sink.depart(seq, start.elapsed().as_nanos() as u64);
-        }
+        None => control
+            .sink
+            .depart(seq, || start.elapsed().as_nanos() as u64),
     };
     match &ring_in {
         None => loop {
             // Source stage: dynamically claim the next frame. The stop and
             // pause checks come *before* the claim, so every claimed frame
-            // below the limit is committed — processed and delivered.
+            // below the limit is committed — processed and delivered. A
+            // claimed frame enters once the window has credit for it; the
+            // frames ahead of it drain whatever stopped the source.
             if control.stop.load(Ordering::Relaxed) || plan.pause.load(Ordering::Relaxed) {
                 break;
             }
@@ -256,6 +263,7 @@ fn run_role<D: Send + 'static>(
             if seq >= plan.limit {
                 break;
             }
+            control.sink.admit(seq, plan.window);
             let mut data = source(seq);
             process(seq, &mut data);
             deliver(seq, data);
@@ -441,7 +449,7 @@ impl<D: Send + 'static> RunningPipeline<D> {
     /// Frames that have reached the sink so far.
     #[must_use]
     pub fn frames_done(&self) -> u64 {
-        self.control.sink.lock().departures()
+        self.control.sink.departures()
     }
 
     fn apply(
@@ -514,7 +522,7 @@ impl<D: Send + 'static> RunningPipeline<D> {
             self.control.done_cv.notify_all();
             return Err(RuntimeError::Terminated);
         }
-        self.control.sink.lock().mark_boundary(base);
+        self.control.sink.lock().record.mark_boundary(base);
 
         // Re-wire: fresh adaptors based at the boundary, new roles.
         let stages = new_solution.stages().to_vec();
@@ -551,6 +559,7 @@ impl<D: Send + 'static> RunningPipeline<D> {
             rings,
             base,
             limit: self.frame_limit,
+            window: new_solution.in_flight_window(),
             start_nanos: self.start.elapsed().as_nanos() as u64,
             pause: AtomicBool::new(false),
             produced: AtomicU64::new(base),
@@ -624,9 +633,9 @@ impl<D: Send + 'static> RunningPipeline<D> {
         let elapsed = self.start.elapsed();
         let sink = self.control.sink.lock();
         let mut events = self.events.into_inner();
-        fill_sink_gaps(&mut events, &sink);
+        fill_sink_gaps(&mut events, &sink.record);
         build_report(
-            &sink,
+            &sink.record,
             elapsed,
             &final_plan,
             self.config.warmup_fraction,
@@ -732,6 +741,7 @@ impl<D: Send + 'static> PipelineSpec<D> {
             rings,
             base: 0,
             limit: frame_limit,
+            window: solution.in_flight_window(),
             start_nanos: 0,
             pause: AtomicBool::new(false),
             produced: AtomicU64::new(0),
@@ -749,7 +759,7 @@ impl<D: Send + 'static> PipelineSpec<D> {
             done_cv: Condvar::new(),
             stop: AtomicBool::new(false),
             claim: AtomicU64::new(0),
-            sink: Mutex::new(SinkRecord::new()),
+            sink: Sink::new(),
         });
         let works: Arc<Vec<Arc<dyn TaskWork<D>>>> =
             Arc::new(self.tasks.iter().map(|t| t.work.clone()).collect());
@@ -895,6 +905,7 @@ fn build_report<D>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adaptor::tests::maybe_stall;
     use crate::sink::MAX_SAMPLES;
     use crate::vcore::VirtualMachine;
     use crate::work::{FnWork, WeightedWork};
@@ -1252,6 +1263,157 @@ mod tests {
         assert_eq!(outcome, (refused.clone(), refused.clone(), refused));
     }
 
+    type Log = Arc<Mutex<Vec<(u64, Vec<u64>)>>>;
+
+    /// A pipeline of `tasks` replicable tasks, each appending its index to
+    /// the frame and stalling at random (one call in eight, drawn from
+    /// `(seed, seq, task)`); the last task waits for `gate`
+    /// and logs `(seq, traversal)`.
+    fn logging_spec(tasks: u64, seed: u64, gate: Arc<AtomicBool>) -> (PipelineSpec<Vec<u64>>, Log) {
+        let log: Log = Arc::new(Mutex::new(Vec::new()));
+        let bodies = (0..tasks)
+            .map(|i| {
+                let (log, gate) = (log.clone(), gate.clone());
+                RuntimeTask::new(
+                    &format!("t{i}"),
+                    true,
+                    FnWork(move |seq: u64, d: &mut Vec<u64>, _: CoreType| {
+                        maybe_stall(&mut ((seed << 40) ^ (seq << 8) ^ i));
+                        d.push(i);
+                        if i + 1 == tasks {
+                            while !gate.load(Ordering::Acquire) {
+                                thread::sleep(Duration::from_micros(100));
+                            }
+                            log.lock().push((seq, d.clone()));
+                        }
+                    }),
+                )
+            })
+            .collect();
+        (PipelineSpec::new(Arc::new(|_| Vec::new()), bodies), log)
+    }
+
+    /// Fails unless `log` holds frames `0..total` once each, every one
+    /// through tasks `0..tasks` in order.
+    fn assert_each_once(log: &Log, total: u64, tasks: u64) {
+        let mut seen = log.lock().clone();
+        seen.sort_unstable();
+        assert_eq!(seen.len() as u64, total, "lost or duplicated frames");
+        let path: Vec<u64> = (0..tasks).collect();
+        for (i, (seq, traversal)) in seen.iter().enumerate() {
+            assert_eq!(*seq, i as u64, "hole or duplicate at frame {i}");
+            assert_eq!(traversal, &path, "frame {seq}");
+        }
+    }
+
+    /// One stage per entry of `replicas`, all on big cores.
+    fn replicated(replicas: &[u64]) -> (Solution, VirtualMachine) {
+        let stages = replicas
+            .iter()
+            .enumerate()
+            .map(|(i, &r)| Stage::new(i, i, r, CoreType::Big))
+            .collect();
+        let machine = VirtualMachine::new(Resources::new(replicas.iter().sum(), 0));
+        (Solution::new(stages), machine)
+    }
+
+    #[test]
+    fn replicated_sources_and_sinks_stay_live_under_the_window() {
+        // Replicated sources claim frames out of turn and replicated sinks
+        // depart them out of order; neither may lose a credit wake-up.
+        let shapes: [&[u64]; 8] = [
+            &[1],
+            &[3],
+            &[1, 1],
+            &[3, 1],
+            &[1, 3],
+            &[2, 2],
+            &[3, 2],
+            &[2, 1, 3],
+        ];
+        let mut seed = 0;
+        for shape in shapes {
+            for capacity in [1, 3, 16] {
+                seed += 1;
+                // Shown with the failure of this run.
+                println!("seed {seed}: {shape:?}, capacity {capacity}");
+                within(Duration::from_secs(30), move || {
+                    let tasks = shape.len() as u64;
+                    let (spec, log) = logging_spec(tasks, seed, Arc::new(AtomicBool::new(true)));
+                    let (solution, machine) = replicated(shape);
+                    let chain = chain_replicable(shape.len());
+                    let config = RunConfig {
+                        queue_capacity: capacity,
+                        ..RunConfig::with_frames(300)
+                    };
+                    let r = spec.run(&chain, &solution, &machine, &config).unwrap();
+                    assert_eq!(r.frames, 300);
+                    assert_each_once(&log, 300, tasks);
+                });
+            }
+        }
+    }
+
+    /// Launches two 2-replica stages whose last task holds every frame
+    /// until the returned gate opens, and waits until the source is
+    /// parked on the window (9 frames; the 16-frame ring has room).
+    fn parked_on_the_window(
+        frames: Option<u64>,
+    ) -> (RunningPipeline<Vec<u64>>, Arc<AtomicBool>, Log) {
+        let gate = Arc::new(AtomicBool::new(false));
+        let (spec, log) = logging_spec(2, 7, gate.clone());
+        let (solution, machine) = replicated(&[2, 2]);
+        assert_eq!(solution.in_flight_window(), 9);
+        let config = RunConfig {
+            frames,
+            max_duration: None,
+            queue_capacity: 16,
+            warmup_fraction: 0.2,
+        };
+        let live = spec
+            .launch(&chain_replicable(2), &solution, &machine, &config)
+            .unwrap();
+        while live.control.sink.parked_sources() == 0 {
+            thread::sleep(Duration::from_micros(200));
+        }
+        (live, gate, log)
+    }
+
+    #[test]
+    fn stop_while_the_source_waits_for_credit_drains_every_claimed_frame() {
+        within(Duration::from_secs(30), || {
+            let (live, gate, log) = parked_on_the_window(None);
+            live.stop();
+            gate.store(true, Ordering::Release);
+            let r = live.join();
+            // The parked claims commit: past the window's 9 frames.
+            assert!(r.frames > 9, "{} frames", r.frames);
+            assert_each_once(&log, r.frames, 2);
+        });
+    }
+
+    #[test]
+    fn migration_while_the_source_waits_for_credit_is_lossless() {
+        within(Duration::from_secs(30), || {
+            let (live, gate, log) = parked_on_the_window(Some(200));
+            let narrow = VirtualMachine::new(Resources::new(1, 0));
+            let event = thread::scope(|s| {
+                let migration = s.spawn(|| live.reconfigure(&narrow));
+                // The migration pauses the source and then waits for the
+                // drain, which waits for the gate.
+                while !live.control.state.lock().migrating {
+                    thread::sleep(Duration::from_micros(200));
+                }
+                gate.store(true, Ordering::Release);
+                migration.join().unwrap().expect("migration")
+            });
+            assert!(event.boundary_frame > 9, "{event:?}");
+            let r = live.join();
+            assert_eq!((r.frames, r.epochs), (200, 2));
+            assert_each_once(&log, 200, 2);
+        });
+    }
+
     /// The `Vec`-based `fill_sink_gaps` the sink record replaced: the
     /// oracle of the record's sink gaps. `departures` is sorted by frame.
     fn oracle_fill_sink_gaps(events: &mut [ReconfigEvent], departures: &[(u64, u64)]) {
@@ -1346,6 +1508,7 @@ mod tests {
             rings: Vec::new(),
             base: 0,
             limit: u64::MAX,
+            window: 2,
             start_nanos: 0,
             pause: AtomicBool::new(false),
             active: vec![AtomicUsize::new(0)],
@@ -1475,7 +1638,7 @@ mod tests {
             warmup_fraction: 0.2,
         };
         let live = spec.launch(&chain, &solution, &machine, &cfg).unwrap();
-        let launched = live.control.sink.lock().footprint();
+        let launched = live.control.sink.lock().record.footprint();
         let deadline = Instant::now() + Duration::from_secs(600);
         while live.frames_done() < departures {
             assert!(Instant::now() < deadline, "pipeline stalled");
@@ -1483,7 +1646,7 @@ mod tests {
         }
         let (size, held) = {
             let sink = live.control.sink.lock();
-            (sink.footprint(), sink.samples_held())
+            (sink.record.footprint(), sink.record.samples_held())
         };
         live.stop();
         let r = live.join();

@@ -5,6 +5,7 @@
 use amp_core::sched::{Herad, Scheduler};
 use amp_core::{CoreType, Resources, Solution, Stage, Task, TaskChain};
 use amp_runtime::{spin_for_micros, FnWork, PipelineSpec, RunConfig, RuntimeTask, VirtualMachine};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::Duration;
@@ -133,6 +134,97 @@ fn shrink_then_grow_migration_is_lossless() {
         assert!(event.sink_gap_us > 0.0, "{event:?}");
     }
     assert_lossless(&trace, total);
+}
+
+/// The credit window through a live wide → narrow → wide migration. The
+/// source closure counts claims and the last task counts departures, so
+/// `claims - departures` at each claim is the frames in flight, a frame
+/// about to leave counted as gone. It must never exceed the epoch's
+/// `Solution::in_flight_window`. The wide schedule's source stage
+/// (100 µs) outruns its bottleneck (400 µs on two replicas), so in flight
+/// must reach the window there: the window binds, not the 16-frame rings.
+#[test]
+fn frames_in_flight_never_exceed_the_window() {
+    let _guard = serial();
+    let chain = traced_chain();
+    let wide = VirtualMachine::new(Resources::new(3, 0));
+    let narrow = VirtualMachine::new(Resources::new(1, 0));
+    let herad = Herad::new();
+    let wide_window = herad
+        .schedule(&chain, wide.resources())
+        .unwrap()
+        .in_flight_window();
+    let narrow_window = herad
+        .schedule(&chain, narrow.resources())
+        .unwrap()
+        .in_flight_window();
+    assert_eq!((wide_window, narrow_window), (7, 2));
+
+    let claims = Arc::new(AtomicU64::new(0));
+    let departures = Arc::new(AtomicU64::new(0));
+    let in_flight: Arc<Mutex<Vec<(u64, u64)>>> = Arc::new(Mutex::new(Vec::new()));
+    let source = {
+        let (claims, departures, in_flight) =
+            (claims.clone(), departures.clone(), in_flight.clone());
+        Arc::new(move |seq: u64| {
+            let claimed = claims.fetch_add(1, Ordering::SeqCst) + 1;
+            let held = claimed - departures.load(Ordering::SeqCst);
+            in_flight.lock().unwrap().push((seq, held));
+            Vec::new()
+        })
+    };
+    let tasks = vec![
+        RuntimeTask::new(
+            "feed",
+            false,
+            FnWork(|seq: u64, _: &mut Vec<u64>, _c: CoreType| {
+                let _ = spin_for_micros(100.0, seq | 1);
+            }),
+        ),
+        RuntimeTask::new(
+            "heavy",
+            true,
+            FnWork(move |seq: u64, _: &mut Vec<u64>, _c: CoreType| {
+                let _ = spin_for_micros(400.0, seq | 1);
+                departures.fetch_add(1, Ordering::SeqCst);
+            }),
+        ),
+    ];
+    let spec = PipelineSpec::new(source, tasks);
+    let wide_solution = herad.schedule(&chain, wide.resources()).unwrap();
+    let total = 300u64;
+    let live = spec
+        .launch(
+            &chain,
+            &wide_solution,
+            &wide,
+            &RunConfig::with_frames(total),
+        )
+        .unwrap();
+    wait_frames(&live, 60);
+    let shrink = live.reconfigure(&narrow).expect("shrink migration");
+    wait_frames(&live, shrink.boundary_frame + 40);
+    let grow = live.reconfigure(&wide).expect("grow migration");
+    let report = live.join();
+    assert_eq!(report.frames, total);
+    assert_eq!(claims.load(Ordering::SeqCst), total);
+
+    let in_flight = in_flight.lock().unwrap();
+    let mut most_wide = 0;
+    for &(seq, held) in in_flight.iter() {
+        let narrow_epoch = (shrink.boundary_frame..grow.boundary_frame).contains(&seq);
+        let window = if narrow_epoch {
+            narrow_window
+        } else {
+            most_wide = most_wide.max(held);
+            wide_window
+        };
+        assert!(
+            held <= window,
+            "frame {seq}: {held} frames in flight, window {window}"
+        );
+    }
+    assert_eq!(most_wide, wide_window, "the window never bound");
 }
 
 /// Growing from a single-worker launch spawns exactly the missing worker

@@ -93,7 +93,7 @@ fn chain_for(seed: u64) -> TaskChain {
 fn chaos_engine(workers: usize, wrap: StrategyWrap) -> Engine {
     Engine::start(EngineConfig {
         workers,
-        racer_threads: workers * 2,
+        racer_threads: workers,
         queue_depth: 256,
         cache_capacity: 512,
         cache_shards: 4,

@@ -10,7 +10,12 @@
 //!   preserved end to end (the scatter/gather *adaptors* of StreamPU,
 //!   including direct replicated→replicated links);
 //! * inter-stage buffers are bounded: a worker that finishes a frame blocks
-//!   until the downstream buffer has space (back-pressure).
+//!   until the downstream buffer has space (back-pressure);
+//! * the source keeps at most `W = Solution::in_flight_window()` frames in
+//!   flight (a credit window): frame `f` enters once frame `f - W` has
+//!   left the sink, the rule `amp-runtime`'s source follows. Rings of 1 or
+//!   2 frames never let the window bind, and deeper rings do not push the
+//!   latency past about `W` bottleneck periods.
 //!
 //! Because service times are deterministic and the adaptors are
 //! order-preserving, the whole execution is captured by an exact recurrence

@@ -16,7 +16,7 @@
 //!
 //! [`simulate`]: crate::simulate
 
-use crate::pipeline::SimConfig;
+use crate::pipeline::{run_epoch, SimConfig};
 use amp_core::{Solution, TaskChain};
 
 /// One epoch boundary of a simulated reconfiguration.
@@ -93,33 +93,23 @@ pub fn simulate_reconfig(
 
     for (e, &(base, solution)) in epochs.iter().enumerate() {
         let end = epochs.get(e + 1).map_or(config.frames, |&(b, _)| b);
-        let epoch_frames = (end - base) as usize;
         let epoch_cfg = SimConfig {
             frames: end - base,
             seed: config.seed.wrapping_add(e as u64),
             ..*config
         };
-        let epoch_departures = epoch_departures(chain, solution, &epoch_cfg, t0);
-        debug_assert_eq!(epoch_departures.len(), epoch_frames);
-
+        let run = run_epoch(chain, solution, &epoch_cfg, t0);
         if base > 0 {
             let before = *departures.last().expect("previous epoch departed");
             boundaries.push(SimBoundary {
                 frame: base,
-                sink_gap: epoch_departures[0].saturating_sub(before),
+                sink_gap: run.departures[0].saturating_sub(before),
             });
         }
         // Steady period over the epoch's own trailing window.
-        let warm = ((epoch_frames as f64) * config.warmup_fraction).floor() as usize;
-        let warm = warm.min(epoch_frames - 1);
-        let window = epoch_frames - 1 - warm;
-        epoch_periods.push(if window > 0 {
-            (epoch_departures[epoch_frames - 1] - epoch_departures[warm]) as f64 / window as f64
-        } else {
-            epoch_departures[epoch_frames - 1].saturating_sub(t0) as f64
-        });
-        t0 = epoch_departures[epoch_frames - 1];
-        departures.extend_from_slice(&epoch_departures);
+        epoch_periods.push(run.steady_period(t0));
+        t0 = *run.departures.last().expect("an epoch has frames");
+        departures.extend_from_slice(&run.departures);
     }
 
     ReconfigSimReport {
@@ -129,66 +119,6 @@ pub fn simulate_reconfig(
         boundaries,
         epoch_periods,
     }
-}
-
-/// The per-epoch recurrence: identical to [`crate::simulate`]'s, except
-/// frames are offset by an epoch start time `t0` (the source is gated on
-/// the drain barrier) and only the sink departures are returned.
-fn epoch_departures(
-    chain: &TaskChain,
-    solution: &Solution,
-    config: &SimConfig,
-    t0: u64,
-) -> Vec<u64> {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    let stages = solution.stages();
-    let k = stages.len();
-    let frames = config.frames as usize;
-    let cap = config.queue_capacity as usize;
-
-    let latency: Vec<u64> = stages
-        .iter()
-        .map(|s| chain.interval_sum(s.start, s.end, s.core_type))
-        .collect();
-    let replicas: Vec<usize> = stages.iter().map(|s| s.cores as usize).collect();
-    let mut noise_rng = config.noise.map(|x| {
-        assert!((0.0..1.0).contains(&x), "noise must be in [0, 1)");
-        (StdRng::seed_from_u64(config.seed), x)
-    });
-    let mut service = |stage: usize| -> u64 {
-        match &mut noise_rng {
-            None => latency[stage],
-            Some((rng, x)) => {
-                let factor = rng.gen_range(1.0 - *x..=1.0 + *x);
-                ((latency[stage] as f64) * factor).round().max(1.0) as u64
-            }
-        }
-    };
-
-    let mut pull = vec![vec![0u64; k]; frames];
-    let mut push = vec![vec![0u64; k]; frames];
-    for f in 0..frames {
-        for i in 0..k {
-            let input_ready = if i == 0 { t0 } else { push[f][i - 1] };
-            let worker_free = if f >= replicas[i] {
-                push[f - replicas[i]][i]
-            } else {
-                t0
-            };
-            let start = input_ready.max(worker_free);
-            let done = start + service(i);
-            let space_ready = if i + 1 < k && f >= cap {
-                pull[f - cap][i + 1]
-            } else {
-                0
-            };
-            pull[f][i] = start;
-            push[f][i] = done.max(space_ready);
-        }
-    }
-    (0..frames).map(|f| push[f][k - 1]).collect()
 }
 
 #[cfg(test)]

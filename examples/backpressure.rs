@@ -5,6 +5,12 @@
 //! bottleneck hides the jitter of the other stages — two regimes the
 //! paper's expected-vs-real throughput gap mixes together.
 //!
+//! The source keeps at most `W = 2 × replicas + stages − 1` frames in
+//! flight (`Solution::in_flight_window`), so buffering past what `W`
+//! frames can fill buys nothing: on the balanced pipeline capacity 16
+//! does no better than capacity 4, while rings of 1 or 2 frames never
+//! reach the window.
+//!
 //! ```sh
 //! cargo run --release -p amp-examples --example backpressure
 //! ```
@@ -42,16 +48,18 @@ fn main() {
 
     println!(
         "\nBalanced stages lose throughput under jitter until the adaptors\n\
-         get enough room; a dominant bottleneck absorbs its neighbours'\n\
-         jitter and needs almost no buffering."
+         get enough room, and the in-flight window caps that room; a\n\
+         dominant bottleneck absorbs its neighbours' jitter and needs\n\
+         almost no buffering."
     );
 }
 
 fn sweep(chain: &TaskChain, solution: &amp_core::Solution, noise: f64) {
     let expected = solution.period(chain).to_f64();
     println!(
-        "  analytic period {:.1}; measured period (and loss) by capacity:",
-        expected
+        "  analytic period {:.1}, window {} frames; measured period (and loss) by capacity:",
+        expected,
+        solution.in_flight_window()
     );
     for cap in [1u64, 2, 4, 16] {
         let noisy = simulate(

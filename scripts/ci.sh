@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
 # Repo CI gate: formatting, lints, then the tier-1 build-and-test pass.
 # This is the one list of CI steps: .github/workflows/ci.yml runs this
-# script and only uploads the BENCH_* reports it writes.
+# script and only uploads the reports it writes under target/ci/. The
+# smoke runs write there, not over the full-run BENCH_*.json files at the
+# repo root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+mkdir -p target/ci
 
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
@@ -51,8 +54,8 @@ cargo run --release -p amp-conformance -- --energy-only --seeds 1000 --max-tasks
 # cannot reach. Exits non-zero if any front is empty, unsorted, starts
 # off the HeRAD optimum, relaxing the period ever costs energy, or the
 # median front build blows the wall-clock tripwire. The report lands in
-# BENCH_energy.json.
-cargo run --release -p amp-experiments --bin energy_sweep -- --smoke --out BENCH_energy.json
+# target/ci/BENCH_energy.json.
+cargo run --release -p amp-experiments --bin energy_sweep -- --smoke --out target/ci/BENCH_energy.json
 
 # Wire hot-path gates, release mode: the zero-steady-state-allocation
 # gate (a warm pump cycle — rent pooled buffer, stream-render, corked
@@ -76,8 +79,8 @@ cargo run --release -p amp-conformance -- --reconfig-only --seeds 1000 --max-tas
 # script paid as stop-the-world restarts. Exits non-zero if any live run
 # loses a frame, a migration goes unobserved, or the median live
 # sink-departure gap is not strictly below the median restart gap. The
-# report lands in BENCH_reconfig.json.
-cargo run --release -p amp-experiments --bin reconfig_sweep -- --smoke --out BENCH_reconfig.json
+# report lands in target/ci/BENCH_reconfig.json.
+cargo run --release -p amp-experiments --bin reconfig_sweep -- --smoke --out target/ci/BENCH_reconfig.json
 
 # Wall-clock gate, release mode: measured runtime fps against the
 # analytic period of the schedule, profiled weights against the work
