@@ -98,10 +98,21 @@ impl TenantQuotas {
 /// A bounded in-flight window: `acquire` blocks while full (TCP
 /// backpressure via the paused reader), `release` frees a slot when a
 /// response is written out.
+///
+/// A release wakes acquirers only when one is parked: the count of
+/// parked acquirers lives under the same lock as the slots, so a
+/// release that sees none has nobody to miss. The pump releases once
+/// per cork, and a notify that wakes nobody still costs a syscall.
 pub struct InflightWindow {
     max: usize,
-    inflight: Mutex<usize>,
+    state: Mutex<WindowState>,
     freed: Condvar,
+}
+
+struct WindowState {
+    inflight: usize,
+    /// Acquirers waiting on `freed`.
+    parked: usize,
 }
 
 impl InflightWindow {
@@ -110,16 +121,19 @@ impl InflightWindow {
     pub fn new(max: usize) -> Self {
         InflightWindow {
             max: max.max(1),
-            inflight: Mutex::new(0),
+            state: Mutex::new(WindowState {
+                inflight: 0,
+                parked: 0,
+            }),
             freed: Condvar::new(),
         }
     }
 
     /// Takes a slot immediately if one is free.
     pub fn try_acquire(&self) -> bool {
-        let mut inflight = self.inflight.lock();
-        if *inflight < self.max {
-            *inflight += 1;
+        let mut state = self.state.lock();
+        if state.inflight < self.max {
+            state.inflight += 1;
             true
         } else {
             false
@@ -130,11 +144,13 @@ impl InflightWindow {
     /// backpressure point: the connection reader parks here instead of
     /// reading further frames.
     pub fn acquire(&self) {
-        let mut inflight = self.inflight.lock();
-        while *inflight >= self.max {
-            self.freed.wait(&mut inflight);
+        let mut state = self.state.lock();
+        while state.inflight >= self.max {
+            state.parked += 1;
+            self.freed.wait(&mut state);
+            state.parked -= 1;
         }
-        *inflight += 1;
+        state.inflight += 1;
     }
 
     /// Returns a slot (one response left the server).
@@ -149,15 +165,22 @@ impl InflightWindow {
         if n == 0 {
             return;
         }
-        let mut inflight = self.inflight.lock();
-        *inflight = inflight.saturating_sub(n);
-        self.freed.notify_all();
+        let mut state = self.state.lock();
+        state.inflight = state.inflight.saturating_sub(n);
+        let parked = state.parked > 0;
+        drop(state);
+        // A parked acquirer counted itself under the lock before it
+        // waited, so it is already waiting and this wakes it.
+        if parked {
+            self.freed.notify_all();
+        }
     }
 
-    /// Current in-flight count (status snapshots, tests).
+    /// Current in-flight count: 0 means every acquired slot was
+    /// released, so every reply that held one is written.
     #[must_use]
     pub fn in_flight(&self) -> usize {
-        *self.inflight.lock()
+        self.state.lock().inflight
     }
 }
 
@@ -221,5 +244,35 @@ mod tests {
         std::thread::sleep(Duration::from_millis(10));
         w.release();
         assert_eq!(blocked.join().expect("no panic"), 2);
+    }
+
+    /// Acquirers and releasers on a one-slot window, every one of them
+    /// parking at times: a release that skipped a needed wake-up would
+    /// leave an acquirer parked for good, so the run must end within
+    /// its deadline. std's channel carries the verdict.
+    #[test]
+    fn parked_acquirers_always_wake_under_contention() {
+        let w = Arc::new(InflightWindow::new(1));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        for _ in 0..3 {
+            let w = Arc::clone(&w);
+            let done_tx = done_tx.clone();
+            std::thread::spawn(move || {
+                for i in 0..20_000u32 {
+                    w.acquire();
+                    if i % 64 == 0 {
+                        std::thread::yield_now();
+                    }
+                    w.release();
+                }
+                let _ = done_tx.send(());
+            });
+        }
+        for _ in 0..3 {
+            done_rx
+                .recv_timeout(Duration::from_secs(60))
+                .expect("an acquirer stayed parked: a wake-up was lost");
+        }
+        assert_eq!(w.in_flight(), 0);
     }
 }

@@ -7,7 +7,7 @@
 //! ## False sharing
 //!
 //! The hot counters (`frames_in`, `accepted`, `frames_out`, the batch
-//! pair) are bumped on every frame by every connection's reader and
+//! pair, `edge_answers`) are bumped on every frame by every connection's reader and
 //! pump. Packed as plain `AtomicU64`s they share cache lines, so under
 //! many connections each increment ping-pongs the line between cores.
 //! Two fixes, both cheap:
@@ -75,6 +75,7 @@ pub struct NetMetrics {
     rejected_shutdown: Pad,
     batches: Striped,
     batched_requests: Striped,
+    edge_answers: Striped,
     inflight: Pad,
     peak_inflight: Pad,
 }
@@ -97,7 +98,7 @@ pub struct NetSnapshot {
     pub parse_errors: u64,
     /// Frames refused for exceeding the line-length bound.
     pub oversized_frames: u64,
-    /// Requests admitted into the engine.
+    /// Requests admitted: handed to the engine or answered at the edge.
     pub accepted: u64,
     /// Requests bounced by engine backpressure (`OVERLOADED`).
     pub rejected_overload: u64,
@@ -110,6 +111,9 @@ pub struct NetSnapshot {
     /// Requests carried by those hand-offs (avg batch size =
     /// `batched_requests / batches`).
     pub batched_requests: u64,
+    /// Requests the connection's reader answered from the exact LRU
+    /// itself, with no engine hand-off (see [`crate::server`]).
+    pub edge_answers: u64,
     /// Requests currently in flight across all connections.
     pub inflight: u64,
     /// High-water mark of `inflight`.
@@ -177,6 +181,19 @@ impl NetMetrics {
         self.inflight.0.fetch_sub(n, Ordering::Relaxed);
     }
 
+    /// Counts a request answered at the edge: admitted, never in
+    /// flight, its frame counted when [`edge_out`](Self::edge_out)
+    /// writes it.
+    pub(crate) fn edge_answered(&self, stripe: usize) {
+        self.accepted.add(stripe, 1);
+        self.edge_answers.add(stripe, 1);
+    }
+
+    /// Counts `n` edge answers written by one cork.
+    pub(crate) fn edge_out(&self, stripe: usize, n: u64) {
+        self.frames_out.add(stripe, n);
+    }
+
     /// Counts `n` engine responses written by one cork: `n` frames out
     /// plus `n` off the in-flight gauge.
     pub(crate) fn responses_out(&self, stripe: usize, n: u64) {
@@ -202,6 +219,7 @@ impl NetMetrics {
             rejected_shutdown: self.rejected_shutdown.get(),
             batches: self.batches.sum(),
             batched_requests: self.batched_requests.sum(),
+            edge_answers: self.edge_answers.sum(),
             inflight: self.inflight.get(),
             peak_inflight: self.peak_inflight.get(),
         }
@@ -236,6 +254,7 @@ impl NetSnapshot {
         field("rejected_shutdown", self.rejected_shutdown);
         field("batches", self.batches);
         field("batched_requests", self.batched_requests);
+        field("edge_answers", self.edge_answers);
         field("inflight", self.inflight);
         field("peak_inflight", self.peak_inflight);
         s.push('}');
@@ -257,18 +276,23 @@ mod tests {
         m.batch_submitted(1, 3);
         m.responses_out(1, 1);
         m.rejected_quota();
+        m.frame_in(2);
+        m.edge_answered(2);
+        m.edge_out(2, 1);
         let s = m.snapshot();
-        assert_eq!(s.accepted, 3);
-        assert_eq!(s.inflight, 2);
+        assert_eq!(s.accepted, 4);
+        assert_eq!(s.edge_answers, 1);
+        assert_eq!(s.inflight, 2, "an edge answer is never in flight");
         assert_eq!(s.peak_inflight, 3);
-        assert_eq!(s.frames_out, 1);
+        assert_eq!(s.frames_out, 2);
         assert_eq!(s.rejected_quota, 1);
         let json = s.to_json();
         let parsed = Json::parse(&json).expect("snapshot JSON parses");
         let Json::Obj(fields) = parsed else {
             panic!("must be an object")
         };
-        assert_eq!(fields.get("accepted"), Some(&Json::Int(3)));
+        assert_eq!(fields.get("accepted"), Some(&Json::Int(4)));
+        assert_eq!(fields.get("edge_answers"), Some(&Json::Int(1)));
         assert_eq!(fields.get("peak_inflight"), Some(&Json::Int(3)));
     }
 

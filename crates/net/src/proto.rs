@@ -60,7 +60,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use amp_core::json::{Json, JsonError, Lexer, Token};
 use amp_core::CoreType;
-use amp_service::{Objective, Policy, ScheduleRequest, ScheduleResponse, TaskSpec};
+use amp_service::{
+    Objective, Policy, ScheduleOutcome, ScheduleRequest, ScheduleResponse, TaskSpec,
+};
 
 /// A transport-level rejection, answered without entering the engine.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -449,50 +451,57 @@ pub fn render_request(request: &ScheduleRequest, tenant: &str) -> String {
 /// heap allocations for success frames.
 pub fn render_response_line(response: &ScheduleResponse, out: &mut String) {
     match &response.result {
-        Ok(outcome) => {
-            // Keys in canonical (sorted) order: id < ok; inside ok:
-            // cache_hit < complete < decomposition < energy_mw < period
-            // < stages < strategy < used_big < used_little.
-            out.push_str("{\"id\":");
-            push_u64(out, response.id);
-            out.push_str(",\"ok\":{\"cache_hit\":");
-            out.push_str(bool_str(outcome.cache_hit));
-            out.push_str(",\"complete\":");
-            out.push_str(bool_str(outcome.complete));
-            out.push_str(",\"decomposition\":");
-            push_escaped(out, &outcome.decomposition);
-            if let Some(mw) = outcome.energy_milliwatts {
-                out.push_str(",\"energy_mw\":");
-                push_u64(out, mw);
-            }
-            out.push_str(",\"period\":");
-            push_escaped(out, &outcome.period);
-            out.push_str(",\"stages\":[");
-            for (i, s) in outcome.stages.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('[');
-                push_u64(out, s.start as u64);
-                out.push(',');
-                push_u64(out, s.end as u64);
-                out.push(',');
-                push_u64(out, s.cores);
-                out.push_str(match s.core_type {
-                    CoreType::Big => ",\"B\"]",
-                    CoreType::Little => ",\"L\"]",
-                });
-            }
-            out.push_str("],\"strategy\":");
-            push_escaped(out, &outcome.strategy);
-            out.push_str(",\"used_big\":");
-            push_u64(out, outcome.used_big);
-            out.push_str(",\"used_little\":");
-            push_u64(out, outcome.used_little);
-            out.push_str("}}\n");
-        }
+        Ok(outcome) => render_outcome_line(response.id, outcome, outcome.cache_hit, out),
         Err(e) => render_error_line(Some(response.id), e.code(), &e.to_string(), out),
     }
+}
+
+/// Appends the success frame of request `id` plus its newline to `out`,
+/// rendering `outcome` by reference with `cache_hit` in place of its own
+/// flag: the same bytes [`render_response_line`] writes for a response
+/// carrying `outcome` with that flag. A shared cached outcome is served
+/// this way without copying it.
+pub fn render_outcome_line(id: u64, outcome: &ScheduleOutcome, cache_hit: bool, out: &mut String) {
+    // Keys in canonical (sorted) order: id < ok; inside ok:
+    // cache_hit < complete < decomposition < energy_mw < period
+    // < stages < strategy < used_big < used_little.
+    out.push_str("{\"id\":");
+    push_u64(out, id);
+    out.push_str(",\"ok\":{\"cache_hit\":");
+    out.push_str(bool_str(cache_hit));
+    out.push_str(",\"complete\":");
+    out.push_str(bool_str(outcome.complete));
+    out.push_str(",\"decomposition\":");
+    push_escaped(out, &outcome.decomposition);
+    if let Some(mw) = outcome.energy_milliwatts {
+        out.push_str(",\"energy_mw\":");
+        push_u64(out, mw);
+    }
+    out.push_str(",\"period\":");
+    push_escaped(out, &outcome.period);
+    out.push_str(",\"stages\":[");
+    for (i, s) in outcome.stages.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('[');
+        push_u64(out, s.start as u64);
+        out.push(',');
+        push_u64(out, s.end as u64);
+        out.push(',');
+        push_u64(out, s.cores);
+        out.push_str(match s.core_type {
+            CoreType::Big => ",\"B\"]",
+            CoreType::Little => ",\"L\"]",
+        });
+    }
+    out.push_str("],\"strategy\":");
+    push_escaped(out, &outcome.strategy);
+    out.push_str(",\"used_big\":");
+    push_u64(out, outcome.used_big);
+    out.push_str(",\"used_little\":");
+    push_u64(out, outcome.used_little);
+    out.push_str("}}\n");
 }
 
 /// Appends one error frame plus its newline to `out`; byte-identical to
@@ -1387,6 +1396,25 @@ mod tests {
             out.clear();
             render_response_line(resp, &mut out);
             assert_eq!(out, format!("{}\n", render_response(resp)), "{resp:?}");
+        }
+        // By reference, with the hit flag as an argument: the bytes of a
+        // response whose outcome carries that flag.
+        for resp in &responses {
+            let Ok(outcome) = &resp.result else {
+                continue;
+            };
+            for cache_hit in [false, true] {
+                out.clear();
+                render_outcome_line(resp.id, outcome, cache_hit, &mut out);
+                let flagged = ScheduleResponse {
+                    id: resp.id,
+                    result: Ok(ScheduleOutcome {
+                        cache_hit,
+                        ..outcome.clone()
+                    }),
+                };
+                assert_eq!(out, format!("{}\n", render_response(&flagged)));
+            }
         }
         // Error frames, with and without ids, through the error path.
         for (id, code, msg) in [

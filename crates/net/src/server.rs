@@ -17,17 +17,25 @@
 //! price of a second scheduler and a dependency the build must vendor.
 //! See DESIGN.md for the full decision record.
 //!
+//! A request the engine must solve crosses four threads: the reader
+//! parses it, a shard worker answers it, the pump writes the reply, and
+//! each hand-off between them is a queue and a wake-up. A repeated
+//! instance the shard's exact LRU already holds crosses one: the reader
+//! answers it itself when its connection has nothing outstanding (see
+//! *Edge answers* below), so a warm connection wakes no worker and no
+//! pump at all.
+//!
 //! ## Connection life cycle
 //!
 //! The *reader* thread owns framing (newline-delimited canonical JSON),
-//! parse/quota admission, and batching: it greedily drains every
-//! complete frame already buffered before touching the socket again —
-//! scanning lines *in place* and compacting the read buffer once per
-//! read, so framing allocates nothing in steady state — and a pipelined
-//! burst becomes one [`EngineShards::try_submit_batch`] hand-off. The
-//! *pump* thread drains the connection's reply channel with a **corked
-//! vectored write**: every response already queued (up to
-//! [`CORK_MAX`]) is rendered into pooled buffers and shipped in one
+//! parse/quota admission, edge answers and batching: it greedily drains
+//! every complete frame already buffered before touching the socket
+//! again — scanning lines *in place* and compacting the read buffer once
+//! per read, so framing allocates nothing in steady state — and a
+//! pipelined burst becomes one [`EngineShards::try_submit_batch`]
+//! hand-off. The *pump* thread drains the connection's reply channel
+//! with a **corked vectored write**: every response already queued (up
+//! to [`CORK_MAX`]) is rendered into pooled buffers and shipped in one
 //! `writev`, so a burst of N responses costs one syscall and one writer
 //! lock instead of N of each. The cork only holds frames that were
 //! already waiting — the moment the queue runs dry the batch flushes,
@@ -36,6 +44,25 @@
 //! mutex, so frames never interleave mid-line. A full in-flight window
 //! parks the reader — TCP backpressure, not an error; see
 //! [`admission`](crate::admission).
+//!
+//! ## Edge answers
+//!
+//! After quota admission, a schedule request on a connection with
+//! *nothing outstanding* — no batch pending on the reader and no slot
+//! of the in-flight window held, so every earlier reply is already on
+//! the wire — is probed in its shard's exact LRU
+//! ([`EngineShards::answer_from_cache`]). On a hit the reader renders
+//! the shared outcome with `cache_hit: true` into a recycled buffer of
+//! its own cork, byte for byte the reply the engine's hit path would
+//! send; the answer takes no window slot. The reader writes that cork
+//! before it hands any later request to the engine and before it writes
+//! any other frame, and at the end of each read pass, so replies keep
+//! the connection's request order. A miss, a busy connection and a
+//! closed fleet take the engine path unchanged; an edge probe that
+//! misses counts nothing, and the worker's own lookup counts the miss.
+//! Answering every hit at the edge would let it overtake an earlier
+//! request still on a worker, which is why the rule asks for an idle
+//! connection.
 //!
 //! Connections live in the sharded slab [`ConnRegistry`]; finished
 //! reader handles are buried there and reaped opportunistically, so a
@@ -46,10 +73,10 @@
 //!
 //! `shutdown` is drain-then-close: stop accepting, half-close every
 //! connection's read side (readers wind down after their current
-//! batch), drain the engine shards (every accepted request reaches its
-//! reply channel), then join the readers — each of which joins its own
-//! pump, which exits only after writing out everything the engine
-//! produced. No accepted request is dropped.
+//! batch and write their edge cork), drain the engine shards (every
+//! accepted request reaches its reply channel), then join the readers —
+//! each of which joins its own pump, which exits only after writing out
+//! everything the engine produced. No accepted request is dropped.
 
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -341,7 +368,9 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-/// Per-connection context threaded through the framing helpers.
+/// One connection's reader: its context, plus what it holds between
+/// socket reads — the batch bound for the engine and the replies it
+/// answered itself.
 struct Conn<'a> {
     shared: &'a Arc<Shared>,
     writer: &'a Arc<Mutex<ConnWriter>>,
@@ -349,23 +378,48 @@ struct Conn<'a> {
     reply_tx: &'a Sender<amp_service::ScheduleResponse>,
     /// Metrics stripe key (the connection id).
     stripe: usize,
+    /// Admitted requests not yet handed to the engine.
+    batch: Vec<ScheduleRequest>,
+    /// Replies answered at the edge and not yet written. Written before
+    /// any later frame of this connection leaves or reaches the engine.
+    edge: Vec<String>,
+    /// Recycled buffers for `edge`.
+    pool: BufPool,
 }
 
 impl Conn<'_> {
     /// Writes a newline-terminated frame produced by the reader itself
-    /// (rejections, control responses).
-    fn write_direct(&self, frame: &str) {
+    /// (rejections, control responses), after the edge cork.
+    fn write_direct(&mut self, frame: &str) {
+        self.write_edge();
         self.writer.lock().write_frame(frame);
         self.shared.net.frame_out(self.stripe);
     }
 
-    /// Hands the pending batch to the engine; bounced members are
-    /// answered with their typed error right here.
-    fn flush_batch(&self, batch: &mut Vec<ScheduleRequest>) {
-        if batch.is_empty() {
+    /// Writes the edge cork in one vectored write.
+    fn write_edge(&mut self) {
+        if self.edge.is_empty() {
             return;
         }
-        let n = batch.len() as u64;
+        self.writer.lock().write_cork(&self.edge);
+        self.shared
+            .net
+            .edge_out(self.stripe, self.edge.len() as u64);
+        for buf in self.edge.drain(..) {
+            self.pool.give(buf);
+        }
+    }
+
+    /// Writes the edge cork, then hands the pending batch to the engine;
+    /// bounced members are answered with their typed error right here.
+    /// The cork goes first, so no reply the engine makes for a later
+    /// request can reach the wire ahead of it.
+    fn flush(&mut self) {
+        self.write_edge();
+        if self.batch.is_empty() {
+            return;
+        }
+        let n = self.batch.len() as u64;
         // Admission is counted *before* the hand-off: the engine can
         // answer a member the instant it is enqueued, and the response
         // pump's decrement must never beat this increment.
@@ -373,7 +427,7 @@ impl Conn<'_> {
         let submission = self
             .shared
             .shards
-            .try_submit_batch(std::mem::take(batch), self.reply_tx);
+            .try_submit_batch(std::mem::take(&mut self.batch), self.reply_tx);
         self.shared.net.batch_submitted(self.stripe, n);
         if !submission.rejected.is_empty() {
             self.shared
@@ -397,9 +451,32 @@ impl Conn<'_> {
         }
     }
 
-    /// Parses and admits one frame. Pushes admitted requests onto
-    /// `batch`; everything else is answered immediately.
-    fn handle_line(&self, line: &[u8], batch: &mut Vec<ScheduleRequest>) {
+    /// Answers `request` on this thread from its shard's exact LRU, if
+    /// the connection has nothing outstanding: no batch pending and no
+    /// slot of the window held, so every earlier reply is on the wire or
+    /// in the edge cork ahead of this one. Returns whether it did. An
+    /// edge answer takes no window slot.
+    fn answer_at_edge(&mut self, request: &ScheduleRequest) -> bool {
+        if !self.batch.is_empty() || self.window.in_flight() > 0 {
+            return false;
+        }
+        let Some(outcome) = self.shared.shards.answer_from_cache(request) else {
+            return false;
+        };
+        let mut buf = self.pool.rent();
+        proto::render_outcome_line(request.id, &outcome, true, &mut buf);
+        self.edge.push(buf);
+        self.shared.net.edge_answered(self.stripe);
+        if self.edge.len() >= CORK_MAX {
+            self.write_edge();
+        }
+        true
+    }
+
+    /// Parses and admits one frame. Answers it at the edge when it can,
+    /// pushes it onto the batch when it must go to the engine, and
+    /// answers everything else immediately.
+    fn handle_line(&mut self, line: &[u8]) {
         let text = match std::str::from_utf8(line) {
             Ok(t) => t.trim_end_matches('\r'),
             Err(_) => {
@@ -440,15 +517,18 @@ impl Conn<'_> {
                     ));
                     return;
                 }
+                if self.answer_at_edge(&request) {
+                    return;
+                }
                 if !self.window.try_acquire() {
                     // Window full: ship what we have so responses keep
                     // flowing, then park until a slot frees. This stall
                     // is the backpressure — the socket is simply not
                     // read while we wait.
-                    self.flush_batch(batch);
+                    self.flush();
                     self.window.acquire();
                 }
-                batch.push(request);
+                self.batch.push(request);
             }
         }
     }
@@ -532,17 +612,19 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream, token: ConnToken) {
         return;
     };
 
-    let conn = Conn {
+    let mut conn = Conn {
         shared,
         writer: &writer,
         window: &window,
         reply_tx: &reply_tx,
         stripe,
+        batch: Vec::new(),
+        edge: Vec::with_capacity(CORK_MAX),
+        pool: BufPool::new(CORK_MAX),
     };
     let mut stream = stream;
     let mut buf: Vec<u8> = Vec::with_capacity(16 * 1024);
     let mut chunk = [0u8; 16 * 1024];
-    let mut batch: Vec<ScheduleRequest> = Vec::new();
     // When a line overruns `max_line_bytes` we answer once, then
     // discard bytes until its terminating newline.
     let mut discarding = false;
@@ -571,9 +653,9 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream, token: ConnToken) {
                     ),
                 ));
             } else {
-                conn.handle_line(line, &mut batch);
-                if batch.len() >= shared.cfg.batch_max {
-                    conn.flush_batch(&mut batch);
+                conn.handle_line(line);
+                if conn.batch.len() >= shared.cfg.batch_max {
+                    conn.flush();
                 }
             }
             consumed += pos + 1;
@@ -597,8 +679,9 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream, token: ConnToken) {
         } else if discarding {
             buf.clear();
         }
-        // Nothing more is buffered: ship the batch before blocking.
-        conn.flush_batch(&mut batch);
+        // Nothing more is buffered: ship the edge cork and the batch
+        // before blocking.
+        conn.flush();
         match stream.read(&mut chunk) {
             Ok(0) => break,
             Ok(n) => buf.extend_from_slice(&chunk[..n]),
@@ -606,13 +689,11 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream, token: ConnToken) {
             Err(_) => break,
         }
     }
-    conn.flush_batch(&mut batch);
+    conn.flush();
     // Dropping the reader's sender lets the pump exit once the engine
     // has answered everything this connection submitted; joining it
     // guarantees every response was written before we tear down.
-    // (`conn` is not `Drop`, but it borrows `reply_tx`, so its lifetime
-    // must end before the sender can be dropped.)
-    #[allow(clippy::drop_non_drop)]
+    // (`conn` borrows `reply_tx`, so it must go first.)
     drop(conn);
     drop(reply_tx);
     let _ = pump.join();

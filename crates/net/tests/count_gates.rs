@@ -6,7 +6,12 @@
 //!   connection (`conn << 32 | seq`) come back exactly once each, on
 //!   their own connection, all ok. With one worker per shard the LRU
 //!   answers every repeat of a cache key, so cache hits are frames
-//!   minus distinct keys.
+//!   minus distinct keys, and the cache's hits plus misses count every
+//!   frame once, whether the reader or a worker answered it.
+//! * **Edge** — with the shard's only worker held, LRU hits on an idle
+//!   connection are still answered, by its reader, and the status frame
+//!   counts them; a reply answered there is byte for byte the reply the
+//!   engine's own hit path renders.
 //! * **Overload** — with the shard's only worker parked and its depth-1
 //!   queue full, every further frame is answered with a typed
 //!   `OVERLOADED`, never silence.
@@ -16,23 +21,19 @@
 //! * **Warm restart** — a server booted from that snapshot serves the
 //!   sweep with no cold solve.
 
+mod common;
+
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use amp_core::json::Json;
-use amp_core::sched::{SchedScratch, Scheduler};
-use amp_core::{Resources, Solution, TaskChain};
-use amp_net::proto::{parse_response, render_request, ClientResponse};
+use amp_net::proto::{parse_response, render_request, render_response_line, ClientResponse};
 use amp_net::{Server, ServerConfig};
-use amp_service::{
-    ChainTierStats, EngineConfig, Objective, Policy, ScheduleRequest, StrategyWrap, TaskSpec,
-};
-use crossbeam::channel::{self, Receiver, Sender};
+use amp_service::{ChainTierStats, EngineConfig, Objective, Policy, ScheduleRequest, TaskSpec};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 const READ_TIMEOUT: Duration = Duration::from_secs(10);
@@ -206,6 +207,43 @@ fn run_audit(conns: u64, frames: u64) -> (Audit, u64, String) {
     (audit(frames, &replies), keys.len() as u64, status)
 }
 
+/// The counters the audit reads off a status document.
+#[derive(Debug, PartialEq, Eq)]
+struct Served {
+    /// Requests the fleet served (`fleet.service.requests`).
+    requests: u64,
+    /// The fleet's exact-LRU hits and misses.
+    hits: u64,
+    misses: u64,
+    /// Requests a connection's reader answered itself.
+    edge_answers: u64,
+}
+
+/// Reads [`Served`] off a status document (the `ok` payload of a status
+/// frame, or [`Server::status_json`]).
+fn served(status: &str) -> Served {
+    let doc = Json::parse(status).expect("status parses");
+    let int = |path: &[&str]| -> u64 {
+        let mut at = &doc;
+        for key in path {
+            at = at
+                .as_obj()
+                .and_then(|o| o.get(*key))
+                .unwrap_or_else(|| panic!("status lacks {path:?}: {status}"));
+        }
+        match at {
+            Json::Int(n) => *n,
+            other => panic!("{path:?} is not an integer: {other:?}"),
+        }
+    };
+    Served {
+        requests: int(&["fleet", "service", "requests"]),
+        hits: int(&["fleet", "cache", "hits"]),
+        misses: int(&["fleet", "cache", "misses"]),
+        edge_answers: int(&["net", "edge_answers"]),
+    }
+}
+
 fn assert_audit_clean(conns: u64, frames: u64) {
     let (audit, distinct, status) = run_audit(conns, frames);
     let sent = conns * frames;
@@ -224,6 +262,13 @@ fn assert_audit_clean(conns: u64, frames: u64) {
         status.contains("\"per_shard\""),
         "the status frame exposes per-shard counters: {status}"
     );
+    // Each frame is served once, by its reader or by a worker, and
+    // counted once: a hit either way, a miss only by the worker.
+    let counts = served(&status);
+    assert_eq!(counts.requests, sent, "{counts:?}");
+    assert_eq!(counts.hits + counts.misses, sent, "{counts:?}");
+    assert_eq!(counts.hits, sent - distinct, "{counts:?}");
+    assert!(counts.edge_answers <= counts.hits, "{counts:?}");
 }
 
 #[test]
@@ -266,47 +311,6 @@ fn the_audit_flags_a_dropped_a_duplicated_and_a_misrouted_reply() {
 
 // ------------------------------------------------------------- overload
 
-/// A fault wrap that parks the first solve it sees: it reports on
-/// `parked`, then waits for `release` (at most [`READ_TIMEOUT`]).
-fn parking_wrap() -> (StrategyWrap, Receiver<()>, Sender<()>) {
-    struct Park {
-        inner: Box<dyn Scheduler>,
-        armed: Arc<AtomicBool>,
-        parked: Sender<()>,
-        release: Receiver<()>,
-    }
-    impl Scheduler for Park {
-        fn name(&self) -> &'static str {
-            self.inner.name()
-        }
-        fn schedule_into(
-            &self,
-            chain: &TaskChain,
-            resources: Resources,
-            scratch: &mut SchedScratch,
-            out: &mut Solution,
-        ) -> bool {
-            if self.armed.swap(false, Ordering::SeqCst) {
-                self.parked.send(()).expect("the test listens");
-                let _ = self.release.recv_timeout(READ_TIMEOUT);
-            }
-            self.inner.schedule_into(chain, resources, scratch, out)
-        }
-    }
-    let (parked_tx, parked_rx) = channel::unbounded();
-    let (release_tx, release_rx) = channel::unbounded();
-    let armed = Arc::new(AtomicBool::new(true));
-    let wrap: StrategyWrap = Arc::new(move |inner: Box<dyn Scheduler>| -> Box<dyn Scheduler> {
-        Box::new(Park {
-            inner,
-            armed: Arc::clone(&armed),
-            parked: parked_tx.clone(),
-            release: release_rx.clone(),
-        })
-    });
-    (wrap, parked_rx, release_tx)
-}
-
 /// Frames the overload run sends, ids `0..OVERLOAD_FRAMES`.
 const OVERLOAD_FRAMES: u64 = 64;
 
@@ -315,7 +319,7 @@ const OVERLOAD_FRAMES: u64 = 64;
 /// write, followed by a ping whose pong marks the end of the answers
 /// given while the worker is parked. Returns every reply.
 fn run_overload(queue_depth: usize) -> Vec<ClientResponse> {
-    let (wrap, parked, release) = parking_wrap();
+    let gate = common::gate(true);
     let server = Server::start(ServerConfig {
         shards: 1,
         per_shard: EngineConfig {
@@ -325,7 +329,7 @@ fn run_overload(queue_depth: usize) -> Vec<ClientResponse> {
             cache_capacity: 0,
             // Off, so HeRAD frames run the wrapped solver too.
             chain_capacity: 0,
-            fault_wrap: Some(wrap),
+            fault_wrap: Some(gate.wrap.clone()),
             ..EngineConfig::default()
         },
         window: 512,
@@ -338,7 +342,7 @@ fn run_overload(queue_depth: usize) -> Vec<ClientResponse> {
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let frame = |id: u64| render_request(&ScheduleRequest { id, ..instance(id) }, "public") + "\n";
     stream.write_all(frame(0).as_bytes()).expect("write");
-    parked
+    gate.parked
         .recv_timeout(READ_TIMEOUT)
         .expect("frame 0 parks the worker");
     let mut burst: String = (1..OVERLOAD_FRAMES).map(frame).collect();
@@ -352,7 +356,7 @@ fn run_overload(queue_depth: usize) -> Vec<ClientResponse> {
         }
         replies.push(parse_response(&line).expect("a well-formed frame"));
     }
-    release.send(()).expect("the worker listens");
+    gate.release.send(()).expect("the worker listens");
     let rest = OVERLOAD_FRAMES as usize - replies.len();
     for line in read_frames(&mut reader, rest) {
         replies.push(parse_response(&line).expect("a well-formed frame"));
@@ -403,6 +407,157 @@ fn a_queue_deep_enough_for_every_frame_fails_the_overload_gate() {
         failures.contains(&"every frame beyond the held ones answered OVERLOADED"),
         "{failures:?}"
     );
+}
+
+// ----------------------------------------------------------------- edge
+
+/// Instance `seed` of the audit, solved by FERTAC: a direct solve, so
+/// the gate's wrap sees it.
+fn fertac(id: u64, seed: u64) -> ScheduleRequest {
+    ScheduleRequest {
+        id,
+        policy: Policy::Strategy("FERTAC".to_string()),
+        ..instance(seed)
+    }
+}
+
+/// One shard, one worker behind `gate`, the LRU on and the chain tier
+/// off.
+fn gated_server(gate: &common::Gate) -> Server {
+    Server::start(ServerConfig {
+        shards: 1,
+        per_shard: EngineConfig {
+            workers: 1,
+            racer_threads: 0,
+            queue_depth: 64,
+            cache_capacity: 64,
+            cache_shards: 2,
+            chain_capacity: 0,
+            fault_wrap: Some(gate.wrap.clone()),
+            ..EngineConfig::default()
+        },
+        quota: None,
+        ..ServerConfig::default()
+    })
+    .expect("server")
+}
+
+/// Sends `frames` on `stream` in one write and reads up to `n` replies,
+/// each within `timeout`.
+fn exchange(stream: &TcpStream, frames: &str, n: usize, timeout: Duration) -> Vec<String> {
+    stream.set_read_timeout(Some(timeout)).expect("timeout");
+    (&*stream).write_all(frames.as_bytes()).expect("write");
+    read_frames(&mut BufReader::new(stream), n)
+}
+
+/// Hits on a connection with nothing outstanding need no worker: the
+/// reader answers them from the shard's LRU while the shard's only
+/// worker is held on another connection's miss. The status frame counts
+/// them, and the cache counts every request once.
+#[test]
+fn lru_hits_on_an_idle_connection_are_answered_while_the_only_worker_is_held() {
+    const HITS: u64 = 16;
+    let gate = common::gate(false);
+    let server = gated_server(&gate);
+    let addr = server.local_addr();
+    let frame = |request: &ScheduleRequest| render_request(request, "public") + "\n";
+
+    // One solve puts instance 1 in the LRU.
+    let warm = connect(addr);
+    let replies = exchange(&warm, &frame(&fertac(0, 1)), 1, READ_TIMEOUT);
+    assert_eq!(replies.len(), 1, "the warm-up is answered");
+
+    // A miss on a second connection holds the worker.
+    gate.armed.store(true, Ordering::SeqCst);
+    let held = connect(addr);
+    (&held)
+        .write_all(frame(&fertac(1, 2)).as_bytes())
+        .expect("write");
+    gate.parked
+        .recv_timeout(READ_TIMEOUT)
+        .expect("the miss holds the worker");
+
+    // Repeats of instance 1 on an idle third connection.
+    let idle = connect(addr);
+    let burst: String = (0..HITS).map(|i| frame(&fertac(100 + i, 1))).collect();
+    let replies = exchange(&idle, &burst, HITS as usize, Duration::from_secs(2));
+    let hits = replies
+        .iter()
+        .filter_map(|r| parse_response(r).ok())
+        .filter(|r| {
+            r.result.as_ref().is_ok_and(|ok| {
+                ok.as_obj().and_then(|o| o.get("cache_hit")) == Some(&Json::Bool(true))
+            })
+        })
+        .count() as u64;
+    assert_eq!(hits, HITS, "hits answered while the worker is held");
+
+    let status = exchange(&idle, "{\"op\":\"status\"}\n", 1, READ_TIMEOUT);
+    gate.release.send(()).expect("the worker listens");
+    assert_eq!(
+        read_frames(&mut BufReader::new(&held), 1).len(),
+        1,
+        "the held miss is answered once released"
+    );
+    let status = status.first().expect("status frame");
+    let payload = status
+        .strip_prefix("{\"ok\":")
+        .and_then(|s| s.strip_suffix(",\"op\":\"status\"}"))
+        .expect("a status frame");
+    // Two misses through the worker, the hits at the edge: each request
+    // counted once, as a hit or as a miss.
+    assert_eq!(
+        served(payload),
+        Served {
+            requests: HITS + 2,
+            hits: HITS,
+            misses: 2,
+            edge_answers: HITS,
+        }
+    );
+    server.shutdown();
+}
+
+/// A reply the reader answered at the edge is the reply the engine's hit
+/// path renders for the same request, byte for byte.
+#[test]
+fn an_edge_reply_is_byte_for_byte_the_engine_path_reply() {
+    let server = Server::start(ServerConfig {
+        shards: 2,
+        quota: None,
+        ..ServerConfig::default()
+    })
+    .expect("server");
+    let addr = server.local_addr();
+    for seed in 0..DISTINCT {
+        let frame = |id: u64| {
+            render_request(
+                &ScheduleRequest {
+                    id,
+                    ..instance(seed)
+                },
+                "public",
+            ) + "\n"
+        };
+        // A fresh connection per frame: the first solves, the second
+        // (idle, its instance cached) is answered at the edge.
+        let solved = exchange(&connect(addr), &frame(seed), 1, READ_TIMEOUT);
+        assert_eq!(solved.len(), 1);
+        let edge = exchange(&connect(addr), &frame(1000 + seed), 1, READ_TIMEOUT);
+        let edge = edge.first().expect("edge reply");
+        let mut engine = String::new();
+        render_response_line(
+            &server.shards().schedule_blocking(ScheduleRequest {
+                id: 1000 + seed,
+                ..instance(seed)
+            }),
+            &mut engine,
+        );
+        assert!(edge.contains("\"cache_hit\":true"), "{edge}");
+        assert_eq!(format!("{edge}\n"), engine, "instance {seed}");
+    }
+    assert_eq!(server.net_snapshot().edge_answers, DISTINCT);
+    server.shutdown();
 }
 
 // -------------------------------------------------- sweep, warm restart

@@ -8,7 +8,10 @@
 //! solve path, now extended to the wire in front of it.
 //!
 //! The request side has a budget rather than a zero: decoding a frame
-//! must allocate only what the decoded request owns.
+//! must allocate only what the decoded request owns. A cache hit the
+//! connection's reader answers itself (probe the shard's LRU, render the
+//! shared outcome into a pooled buffer, cork, write, recycle) then adds
+//! nothing to it.
 //!
 //! The counting allocator tracks per-thread allocation counts, so
 //! `cargo test`'s parallel test threads cannot pollute the delta.
@@ -19,9 +22,14 @@ use amp_conformance::alloc_track::{count_thread_allocs, TrackingAllocator};
 use amp_core::json::Json;
 use amp_core::sched::Scheduler;
 use amp_core::{Resources, Task, TaskChain};
-use amp_net::proto::{parse_request, render_error_line, render_request, render_response_line};
+use amp_net::proto::{
+    parse_request, render_error_line, render_outcome_line, render_request, render_response_line,
+};
 use amp_net::{write_frames, BufPool, CORK_MAX};
-use amp_service::{Policy, ScheduleOutcome, ScheduleRequest, ScheduleResponse, TaskSpec};
+use amp_service::{
+    EngineConfig, EngineShards, Policy, ScheduleOutcome, ScheduleRequest, ScheduleResponse,
+    TaskSpec,
+};
 
 #[global_allocator]
 static ALLOC: TrackingAllocator = TrackingAllocator;
@@ -202,5 +210,117 @@ fn request_decode_allocates_only_what_the_request_owns() {
     assert!(
         allocs <= 8,
         "decoding a 64-task frame made {allocs} heap allocations (budget 8)"
+    );
+}
+
+/// One cork of edge hits as the reader serves them: each probes the
+/// shard's LRU for the decoded `request`, renders the shared outcome
+/// into a pooled buffer, and the cork goes out in one vectored write
+/// before its buffers are recycled. With `copy_outcome` each hit also
+/// copies the outcome, the allocation an owned reply would cost.
+fn edge_cycle(
+    shards: &EngineShards,
+    request: &ScheduleRequest,
+    pool: &mut BufPool,
+    cork: &mut Vec<String>,
+    sink: &mut NullSink,
+    copy_outcome: bool,
+) {
+    for _ in 0..CORK_MAX {
+        let outcome = shards.answer_from_cache(request).expect("an LRU hit");
+        let mut buf = pool.rent();
+        if copy_outcome {
+            let owned: ScheduleOutcome = (*outcome).clone();
+            render_outcome_line(request.id, &owned, true, &mut buf);
+        } else {
+            render_outcome_line(request.id, &outcome, true, &mut buf);
+        }
+        cork.push(buf);
+    }
+    write_frames(sink, cork).expect("sink never fails");
+    for buf in cork.drain(..) {
+        pool.give(buf);
+    }
+}
+
+/// The gate's measurement: heap allocations over 256 warm corks of edge
+/// hits on a decoded 64-task request whose outcome the LRU holds.
+fn warm_edge_allocs(copy_outcome: bool) -> u64 {
+    let shards = EngineShards::start(
+        2,
+        &EngineConfig {
+            workers: 1,
+            racer_threads: 0,
+            queue_depth: 4,
+            cache_capacity: 16,
+            cache_shards: 2,
+            ..EngineConfig::default()
+        },
+    );
+    let chain = TaskChain::new(
+        (0..64)
+            .map(|i| Task::new(10 + i, 25 + 3 * i, i % 3 == 0))
+            .collect(),
+    );
+    let frame = render_request(
+        &ScheduleRequest::from_chain(
+            7,
+            &chain,
+            Resources::new(4, 4),
+            Policy::Strategy("FERTAC".to_string()),
+        ),
+        "public",
+    );
+    let Ok(amp_net::WireRequest::Schedule { request, .. }) = parse_request(&frame, 64) else {
+        panic!("the frame decodes");
+    };
+    assert!(shards.schedule_blocking(request.clone()).result.is_ok());
+    let mut pool = BufPool::new(CORK_MAX);
+    let mut cork: Vec<String> = Vec::with_capacity(CORK_MAX);
+    let mut sink = NullSink;
+    for _ in 0..4 {
+        edge_cycle(
+            &shards,
+            &request,
+            &mut pool,
+            &mut cork,
+            &mut sink,
+            copy_outcome,
+        );
+    }
+    let (_, allocs) = count_thread_allocs(|| {
+        for _ in 0..256 {
+            edge_cycle(
+                &shards,
+                &request,
+                &mut pool,
+                &mut cork,
+                &mut sink,
+                copy_outcome,
+            );
+        }
+    });
+    shards.shutdown();
+    allocs
+}
+
+#[test]
+fn a_warm_edge_hit_allocates_nothing_beyond_the_decoded_request() {
+    let allocs = warm_edge_allocs(false);
+    assert_eq!(
+        allocs, 0,
+        "warm edge hits must not allocate (got {allocs} allocations over 256 corks of \
+         {CORK_MAX} hits)"
+    );
+}
+
+/// The counter sees the edge path: copying the outcome once per hit
+/// fails the gate.
+#[test]
+fn one_outcome_copy_per_hit_fails_the_edge_gate() {
+    let allocs = warm_edge_allocs(true);
+    assert!(
+        allocs >= 256 * CORK_MAX as u64,
+        "an outcome copy per hit must count at least one allocation per hit (got {allocs})"
     );
 }

@@ -12,8 +12,10 @@
 //! when every frame is answered ok, p99 meets its bound, and the ok
 //! replies received inside the rung carry at least 0.98 of the offered
 //! rate. The server has perfbench's `wire_hot` shape, one shard of one
-//! worker, and every timed frame is an LRU hit, so the rungs time the
-//! wire and the engine hand-off.
+//! worker, and every timed frame is an LRU hit. A hit on a connection
+//! with nothing outstanding is answered by that connection's reader; one
+//! behind an unanswered frame takes the engine hand-off. So the rungs
+//! time the wire, the edge answer and, under bursts, the hand-off.
 //!
 //! * 1 connection at 20 000 frames/s: p99 ≤ 1 ms.
 //! * 64 connections sharing 4 000 frames/s: p99 ≤ 5 ms.

@@ -11,18 +11,24 @@
 //! * **Per-connection response order**: with a single engine shard and
 //!   a single worker, engine responses are produced in submission
 //!   order, and the pump's cork must preserve that order on the wire.
+//!   A cache hit the reader could answer itself keeps its place too: it
+//!   is answered at the edge only when nothing is outstanding on its
+//!   connection, and otherwise queues behind what is.
 //!
 //! The request mix (valid schedule frames vs malformed rejects) is
 //! seeded, so failures reproduce.
 
+mod common;
+
 use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use amp_net::proto;
 use amp_net::{Server, ServerConfig};
-use amp_service::EngineConfig;
+use amp_service::{EngineConfig, Objective, Policy, ScheduleRequest, TaskSpec};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Ids below this are valid schedule requests; at/above are malformed
@@ -143,4 +149,91 @@ fn corked_pump_preserves_engine_order_amid_direct_rejections() {
     for seed in [0xC0FFEE, 1, 42] {
         interleaved_run(seed);
     }
+}
+
+/// A FERTAC frame of chain `seed` (a direct solve, so the gate sees it).
+fn fertac_frame(id: u64, seed: u64) -> String {
+    let request = ScheduleRequest {
+        id,
+        tasks: (0..3)
+            .map(|i| TaskSpec {
+                weight_big: 5 + seed + i,
+                weight_little: 11 + 2 * seed + i,
+                replicable: i == 1,
+            })
+            .collect(),
+        big_cores: 2,
+        little_cores: 2,
+        policy: Policy::Strategy("FERTAC".to_string()),
+        objective: Objective::Period,
+        deadline_us: None,
+    };
+    proto::render_request(&request, "public") + "\n"
+}
+
+/// A hit sent behind an outstanding miss on the same connection is
+/// answered after the miss. The miss is held on the shard's only worker
+/// while the hit and a ping arrive: the pong, which the reader answers
+/// at once, must come back alone, and the two replies must follow in
+/// the order sent once the worker is released.
+#[test]
+fn a_hit_behind_an_outstanding_miss_is_answered_after_it() {
+    let gate = common::gate(false);
+    let server = Server::start(ServerConfig {
+        shards: 1,
+        per_shard: EngineConfig {
+            workers: 1,
+            racer_threads: 0,
+            fault_wrap: Some(gate.wrap.clone()),
+            ..single_lane_config().per_shard
+        },
+        ..single_lane_config()
+    })
+    .expect("server starts");
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut read = || {
+        let mut line = String::new();
+        let n = reader.read_line(&mut line).expect("line readable");
+        assert!(n > 0, "server closed early");
+        proto::parse_response(line.trim_end()).expect("a frame")
+    };
+
+    // Chain 1 enters the LRU.
+    stream
+        .write_all(fertac_frame(1, 1).as_bytes())
+        .expect("write");
+    assert_eq!(read().id, Some(1));
+
+    // The miss (chain 2) holds the worker...
+    gate.armed.store(true, Ordering::SeqCst);
+    stream
+        .write_all(fertac_frame(2, 2).as_bytes())
+        .expect("write");
+    gate.parked
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the miss holds the worker");
+    // ...while a hit on chain 1 and a ping arrive behind it.
+    let behind = fertac_frame(3, 1) + "{\"op\":\"ping\"}\n";
+    stream.write_all(behind.as_bytes()).expect("write");
+    let first = read();
+    assert_eq!(
+        first.id, None,
+        "the pong must come first: a reply ahead of it jumped the held miss ({first:?})"
+    );
+    gate.release.send(()).expect("the worker listens");
+    assert_eq!(read().id, Some(2), "the held miss is answered first");
+    let hit = read();
+    assert_eq!(hit.id, Some(3));
+    let payload = hit.result.expect("the hit is answered ok");
+    assert_eq!(
+        payload.as_obj().and_then(|o| o.get("cache_hit")),
+        Some(&amp_core::json::Json::Bool(true))
+    );
+    assert_eq!(server.net_snapshot().edge_answers, 0);
+    drop(stream);
+    server.shutdown();
 }

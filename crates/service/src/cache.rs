@@ -13,20 +13,29 @@
 //! lookups collision-safe. Eviction is least-recently-used per shard,
 //! tracked with monotonic access stamps.
 //!
+//! Lookups take the key material *borrowed*: a [`ScheduleRequest`] or a
+//! [`CacheKey`] viewed as `&dyn KeyMaterial`, hashed and compared exactly
+//! as the owned key is, so a probe clones nothing. Outcomes are stored
+//! behind an [`Arc`]: a hit hands out a reference-count bump, and the
+//! caller renders or copies it after the shard lock is released.
+//!
 //! Only *complete* outcomes are cached: a portfolio result truncated by a
 //! deadline may be improvable, and caching it would let one slow request
 //! poison every later identical request (see
 //! [`Engine`](crate::engine::Engine)).
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::request::{Objective, Policy, ScheduleOutcome, ScheduleRequest, TaskSpec};
 
 /// Canonical key material of a scheduling instance.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CacheKey {
     /// Task weights and replicability mask, in chain order.
     pub tasks: Vec<TaskSpec>,
@@ -63,7 +72,7 @@ impl CacheKey {
     /// answer.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        self.fnv(true)
+        fingerprint(self)
     }
 
     /// Pool-free sibling of [`CacheKey::fingerprint`]: hashes the chain
@@ -73,52 +82,145 @@ impl CacheKey {
     /// once and answer the whole fleet's pool sweep by extraction.
     #[must_use]
     pub fn chain_fingerprint(&self) -> u64 {
-        self.fnv(false)
-    }
-
-    fn fnv(&self, include_pool: bool) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        eat(&(self.tasks.len() as u64).to_le_bytes());
-        for t in &self.tasks {
-            eat(&t.weight_big.to_le_bytes());
-            eat(&t.weight_little.to_le_bytes());
-            eat(&[u8::from(t.replicable)]);
-        }
-        if include_pool {
-            eat(&self.big_cores.to_le_bytes());
-            eat(&self.little_cores.to_le_bytes());
-        }
-        match &self.policy {
-            Policy::Portfolio => eat(&[0]),
-            Policy::Strategy(name) => {
-                eat(&[1]);
-                eat(name.as_bytes());
-            }
-        }
-        // The default period objective eats no bytes, keeping every
-        // pre-energy fingerprint (and thus shard routing and snapshots)
-        // exactly as it was; the energy objective appends a tag plus its
-        // canonical target string. Full-key equality still separates the
-        // objectives even if the fingerprints were ever to collide.
-        if let Objective::MinEnergy { target_period } = &self.objective {
-            eat(&[2]);
-            eat(target_period.as_bytes());
-        }
-        h
+        chain_fingerprint(self)
     }
 }
 
+/// The key material of a scheduling instance, read in place: what a
+/// [`CacheKey`] owns, borrowed from whatever holds it. A lookup through
+/// `&dyn KeyMaterial` hashes and compares exactly as the owned key does
+/// (the owned key's `Hash` *is* this view's), so a [`ScheduleRequest`]
+/// probes the cache without cloning its chain, policy or objective.
+pub trait KeyMaterial {
+    /// Task weights and replicability mask, in chain order.
+    fn tasks(&self) -> &[TaskSpec];
+    /// Big and little cores in the pool.
+    fn pool(&self) -> (u64, u64);
+    /// Strategy policy.
+    fn policy(&self) -> &Policy;
+    /// Optimization objective.
+    fn objective(&self) -> &Objective;
+}
+
+impl KeyMaterial for CacheKey {
+    fn tasks(&self) -> &[TaskSpec] {
+        &self.tasks
+    }
+    fn pool(&self) -> (u64, u64) {
+        (self.big_cores, self.little_cores)
+    }
+    fn policy(&self) -> &Policy {
+        &self.policy
+    }
+    fn objective(&self) -> &Objective {
+        &self.objective
+    }
+}
+
+impl KeyMaterial for ScheduleRequest {
+    fn tasks(&self) -> &[TaskSpec] {
+        &self.tasks
+    }
+    fn pool(&self) -> (u64, u64) {
+        (self.big_cores, self.little_cores)
+    }
+    fn policy(&self) -> &Policy {
+        &self.policy
+    }
+    fn objective(&self) -> &Objective {
+        &self.objective
+    }
+}
+
+impl Hash for dyn KeyMaterial + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.tasks().hash(state);
+        self.pool().hash(state);
+        self.policy().hash(state);
+        self.objective().hash(state);
+    }
+}
+
+impl PartialEq for dyn KeyMaterial + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.tasks() == other.tasks()
+            && self.pool() == other.pool()
+            && self.policy() == other.policy()
+            && self.objective() == other.objective()
+    }
+}
+
+impl Eq for dyn KeyMaterial + '_ {}
+
+impl Hash for CacheKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (self as &dyn KeyMaterial).hash(state);
+    }
+}
+
+impl<'a> Borrow<dyn KeyMaterial + 'a> for CacheKey {
+    fn borrow(&self) -> &(dyn KeyMaterial + 'a) {
+        self
+    }
+}
+
+/// [`CacheKey::fingerprint`] of borrowed key material.
+#[must_use]
+pub(crate) fn fingerprint(key: &(impl KeyMaterial + ?Sized)) -> u64 {
+    fnv(key, true)
+}
+
+/// [`CacheKey::chain_fingerprint`] of borrowed key material.
+#[must_use]
+pub(crate) fn chain_fingerprint(key: &(impl KeyMaterial + ?Sized)) -> u64 {
+    fnv(key, false)
+}
+
+fn fnv(key: &(impl KeyMaterial + ?Sized), include_pool: bool) -> u64 {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut h = OFFSET;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(PRIME);
+        }
+    };
+    let tasks = key.tasks();
+    eat(&(tasks.len() as u64).to_le_bytes());
+    for t in tasks {
+        eat(&t.weight_big.to_le_bytes());
+        eat(&t.weight_little.to_le_bytes());
+        eat(&[u8::from(t.replicable)]);
+    }
+    if include_pool {
+        let (big, little) = key.pool();
+        eat(&big.to_le_bytes());
+        eat(&little.to_le_bytes());
+    }
+    match key.policy() {
+        Policy::Portfolio => eat(&[0]),
+        Policy::Strategy(name) => {
+            eat(&[1]);
+            eat(name.as_bytes());
+        }
+    }
+    // The default period objective eats no bytes, keeping every
+    // pre-energy fingerprint (and thus shard routing and snapshots)
+    // exactly as it was; the energy objective appends a tag plus its
+    // canonical target string. Full-key equality still separates the
+    // objectives even if the fingerprints were ever to collide.
+    if let Objective::MinEnergy { target_period } = key.objective() {
+        eat(&[2]);
+        eat(target_period.as_bytes());
+    }
+    h
+}
+
 struct Shard {
-    /// Full-key map; the value carries the LRU stamp of its last access.
-    entries: HashMap<CacheKey, (u64, ScheduleOutcome)>,
+    /// Full-key map; the value carries the LRU stamp of its last access
+    /// and the shared outcome.
+    entries: HashMap<CacheKey, (u64, Arc<ScheduleOutcome>)>,
     /// Monotonic per-shard access counter feeding the LRU stamps.
     clock: u64,
 }
@@ -188,10 +290,10 @@ impl SolutionCache {
         }
     }
 
-    fn shard(&self, key: &CacheKey) -> &Mutex<Shard> {
+    fn shard(&self, key: &(impl KeyMaterial + ?Sized)) -> &Mutex<Shard> {
         // High bits: FNV-1a mixes the low bits of long inputs best, but the
         // whole hash is well distributed; any stable reduction works.
-        let idx = (key.fingerprint() % self.shards.len() as u64) as usize;
+        let idx = (fingerprint(key) % self.shards.len() as u64) as usize;
         &self.shards[idx]
     }
 
@@ -199,28 +301,52 @@ impl SolutionCache {
     /// `cache_hit` set and the entry is marked most-recently-used.
     #[must_use]
     pub fn get(&self, key: &CacheKey) -> Option<ScheduleOutcome> {
+        self.lookup(key).map(|outcome| ScheduleOutcome {
+            cache_hit: true,
+            ..(*outcome).clone()
+        })
+    }
+
+    /// Looks up an instance by borrowed key material and counts the hit
+    /// or the miss. A hit marks the entry most-recently-used and shares
+    /// the stored outcome (whose `cache_hit` is `false`) instead of
+    /// copying it.
+    #[must_use]
+    pub fn lookup(&self, key: &dyn KeyMaterial) -> Option<Arc<ScheduleOutcome>> {
+        self.find(key, true)
+    }
+
+    /// [`SolutionCache::lookup`] that counts a hit but not a miss: for a
+    /// probe whose miss is looked up again, and counted, on the engine's
+    /// path. Hits plus misses then still count every request once.
+    #[must_use]
+    pub fn probe(&self, key: &dyn KeyMaterial) -> Option<Arc<ScheduleOutcome>> {
+        self.find(key, false)
+    }
+
+    fn find(&self, key: &dyn KeyMaterial, count_miss: bool) -> Option<Arc<ScheduleOutcome>> {
         let mut shard = self.shard(key).lock();
         shard.clock += 1;
         let stamp = shard.clock;
         match shard.entries.get_mut(key) {
             Some((last_used, outcome)) => {
                 *last_used = stamp;
-                let mut out = outcome.clone();
-                out.cache_hit = true;
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(out)
+                Some(Arc::clone(outcome))
             }
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                if count_miss {
+                    self.misses.fetch_add(1, Ordering::Relaxed);
+                }
                 None
             }
         }
     }
 
     /// Inserts (or refreshes) an outcome. The stored copy always has
-    /// `cache_hit == false`; hits flip the flag on the returned clone
-    /// only. Evicts the least-recently-used entry of the target shard
-    /// when the shard is full.
+    /// `cache_hit == false`; [`SolutionCache::get`] flips the flag on
+    /// the copy it returns. Evicts the least-recently-used entry of the
+    /// target shard when the shard is full.
     pub fn insert(&self, key: CacheKey, mut outcome: ScheduleOutcome) {
         if self.per_shard_capacity == 0 {
             return;
@@ -241,7 +367,7 @@ impl SolutionCache {
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
-        shard.entries.insert(key, (stamp, outcome));
+        shard.entries.insert(key, (stamp, Arc::new(outcome)));
         self.insertions.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -422,6 +548,61 @@ mod tests {
             let k = key(4);
             k.fingerprint()
         });
+    }
+
+    #[test]
+    fn a_request_looks_up_what_its_owned_key_inserted() {
+        let chain = amp_core::TaskChain::new(vec![
+            amp_core::Task::new(4, 9, true),
+            amp_core::Task::new(7, 3, false),
+        ]);
+        let request = ScheduleRequest::from_chain(
+            5,
+            &chain,
+            amp_core::Resources::new(2, 1),
+            Policy::Strategy("HeRAD".to_string()),
+        );
+        let key = CacheKey::for_request(&request);
+        // The borrowed view hashes exactly as the owned key does.
+        let hash = |k: &dyn KeyMaterial| {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            k.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(hash(&request), hash(&key));
+        assert_eq!(fingerprint(&request), key.fingerprint());
+        assert_eq!(chain_fingerprint(&request), key.chain_fingerprint());
+
+        let cache = SolutionCache::new(8, 4);
+        cache.insert(key.clone(), outcome("HeRAD"));
+        let shared = cache.lookup(&request).expect("hit by request");
+        assert!(!shared.cache_hit, "the stored copy keeps its flag off");
+        assert_eq!(*shared, outcome("HeRAD"));
+        // Another pool of the same chain is another instance.
+        let other = ScheduleRequest {
+            big_cores: 3,
+            ..request.clone()
+        };
+        assert!(cache.lookup(&other).is_none());
+        assert_eq!((cache.stats().hits, cache.stats().misses), (1, 1));
+    }
+
+    #[test]
+    fn a_probe_counts_its_hit_but_not_its_miss() {
+        let cache = SolutionCache::new(8, 2);
+        cache.insert(key(1), outcome("a"));
+        assert!(cache.probe(&key(1)).is_some());
+        assert!(cache.probe(&key(2)).is_none());
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses), (1, 0));
+        // A probe refreshes recency like a lookup does.
+        let cache = SolutionCache::new(2, 1);
+        cache.insert(key(1), outcome("a"));
+        cache.insert(key(2), outcome("b"));
+        assert!(cache.probe(&key(1)).is_some());
+        cache.insert(key(3), outcome("c"));
+        assert!(cache.probe(&key(1)).is_some());
+        assert!(cache.probe(&key(2)).is_none(), "key 2 was the LRU victim");
     }
 
     #[test]

@@ -19,6 +19,13 @@
 //! a single request — same checks, one cache lookup, the same panic
 //! guard and solution check, on the worker's own scratch.
 //!
+//! A front end that holds a request it could answer from the cache
+//! alone may ask [`Engine::answer_from_cache`] first: a hit comes back
+//! as the shared stored outcome, with no queue, worker or reply channel
+//! in between, and a miss counts nothing, so the request then takes the
+//! queue as usual. The socket server does this for a connection with
+//! nothing outstanding (see `amp_net::server`).
+//!
 //! ## Robustness contract
 //!
 //! *No accepted request is ever dropped without a response* — even when
@@ -370,6 +377,25 @@ impl Engine {
         })
     }
 
+    /// Answers `request` from the exact LRU without the queue, or
+    /// returns `None` (a miss, or a closed engine) and counts nothing:
+    /// the request then takes the queue, whose lookup counts the miss.
+    /// A hit counts as a request, a response and a cache hit, and
+    /// shares the stored outcome, whose `cache_hit` flag is `false`.
+    ///
+    /// Only the key material is read. A cached key passed every check
+    /// the worker makes before its own lookup, since those checks read
+    /// nothing else, so a hit needs none of them.
+    #[must_use]
+    pub fn answer_from_cache(&self, request: &ScheduleRequest) -> Option<Arc<ScheduleOutcome>> {
+        if self.is_closed() {
+            return None;
+        }
+        let hit = self.shared.cache.probe(request)?;
+        self.shared.metrics.record_edge_answer();
+        Some(hit)
+    }
+
     /// Point-in-time service metrics, including the racer-pool counters.
     #[must_use]
     pub fn metrics(&self) -> MetricsSnapshot {
@@ -628,9 +654,11 @@ impl Shared {
         if table_too_large(request) {
             return Err(ServiceError::PoolTooLarge);
         }
-        let key = CacheKey::for_request(request);
-        if let Some(hit) = self.cache.get(&key) {
-            return Ok(hit);
+        if let Some(hit) = self.cache.lookup(request) {
+            return Ok(ScheduleOutcome {
+                cache_hit: true,
+                ..(*hit).clone()
+            });
         }
         let chain = request.chain();
         let resources = request.resources();
@@ -653,7 +681,8 @@ impl Shared {
         if !request.objective.is_period() {
             let outcome = self.solve_energy(request, &chain, resources, scratch, &vet)?;
             if outcome.complete {
-                self.cache.insert(key, outcome.clone());
+                self.cache
+                    .insert(CacheKey::for_request(request), outcome.clone());
             }
             return Ok(outcome);
         }
@@ -701,7 +730,8 @@ impl Shared {
         // and caching it would pin the worse solution for every later
         // identical request.
         if outcome.complete {
-            self.cache.insert(key, outcome.clone());
+            self.cache
+                .insert(CacheKey::for_request(request), outcome.clone());
         }
         Ok(outcome)
     }

@@ -68,7 +68,7 @@ pub mod racer;
 pub mod request;
 pub mod shards;
 
-pub use cache::{CacheKey, CacheStats, SolutionCache};
+pub use cache::{CacheKey, CacheStats, KeyMaterial, SolutionCache};
 pub use chain_tier::{ChainTier, ChainTierStats, SnapshotError, TierFaultHook, TierServe};
 pub use engine::{Engine, EngineConfig, RejectedBatch};
 pub use error::ServiceError;

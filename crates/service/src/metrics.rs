@@ -18,9 +18,10 @@ const BUCKETS: usize = 64;
 
 /// Shared counters of one [`Engine`](crate::engine::Engine).
 pub struct ServiceMetrics {
-    /// Requests accepted into the queue.
+    /// Requests accepted into the queue or answered at the edge.
     requests: AtomicU64,
-    /// Responses delivered (success or typed error).
+    /// Responses delivered (success or typed error), edge answers
+    /// included.
     responses: AtomicU64,
     /// Responses that carried an error.
     errors: AtomicU64,
@@ -48,7 +49,8 @@ pub struct ServiceMetrics {
     /// OS threads created over the engine's lifetime (workers + racers).
     /// Constant after startup: steady-state requests spawn nothing.
     threads_spawned: AtomicU64,
-    /// End-to-end latency histogram (enqueue → response), ns buckets.
+    /// Latency histogram of queued requests (enqueue → response), ns
+    /// buckets. Edge answers never queue and are not in it.
     latency: [AtomicU64; BUCKETS],
 }
 
@@ -83,6 +85,13 @@ impl ServiceMetrics {
     /// slot but is `n` requests for accounting).
     pub fn record_accepted_n(&self, n: u64) {
         self.requests.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Counts a request answered from the cache at the edge, without
+    /// the queue: one request and one response, no latency sample.
+    pub fn record_edge_answer(&self) {
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        self.responses.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts a request rejected by backpressure.
@@ -193,9 +202,9 @@ impl Default for ServiceMetrics {
 /// Point-in-time metrics, with quantile helpers over the histogram.
 #[derive(Clone, Copy, Debug)]
 pub struct MetricsSnapshot {
-    /// Requests accepted into the queue.
+    /// Requests accepted into the queue or answered at the edge.
     pub requests: u64,
-    /// Responses delivered.
+    /// Responses delivered, edge answers included.
     pub responses: u64,
     /// Error responses among them.
     pub errors: u64,
@@ -231,9 +240,10 @@ pub struct MetricsSnapshot {
     /// Racer jobs skipped because their request was already answered
     /// (same sourcing as `racer_panics`).
     pub racer_cancelled: u64,
-    /// Latency histogram; bucket `i` counts latencies in the disjoint
-    /// range `[2^(i-1), 2^i)` ns (bucket 0: below 1 ns; bucket 63 also
-    /// absorbs everything at or above `2^63` ns).
+    /// Latency histogram of queued requests (edge answers are not in
+    /// it); bucket `i` counts latencies in the disjoint range
+    /// `[2^(i-1), 2^i)` ns (bucket 0: below 1 ns; bucket 63 also absorbs
+    /// everything at or above `2^63` ns).
     pub latency: [u64; BUCKETS],
 }
 

@@ -16,12 +16,13 @@
 //! into typed [`ServiceError::Overloaded`] backpressure instead of
 //! unbounded latency, which is what a wire front end wants to relay.
 //!
-//! The routing key is [`CacheKey::chain_fingerprint`] — weights,
-//! replicability and policy, but *not* the resource pool — so every pool
-//! shape of one chain shares a shard. That is what makes the solve-once
-//! chain tier work fleet-wide: a pool sweep over one chain grows a
-//! single HeRAD table on a single engine instead of paying one cold
-//! solve per shard. The exact-fingerprint LRU still keys on the full
+//! The routing key is the pool-free chain fingerprint
+//! ([`CacheKey::chain_fingerprint`](crate::CacheKey::chain_fingerprint),
+//! hashed in place from the request) — weights, replicability and
+//! policy, but *not* the resource pool — so every pool shape of one
+//! chain shares a shard. That is what makes the solve-once chain tier
+//! work fleet-wide: a pool sweep over one chain grows a single HeRAD
+//! table on a single engine instead of paying one cold solve per shard. The exact-fingerprint LRU still keys on the full
 //! instance (pool included) inside each engine, so distinct pools of one
 //! chain occupy distinct LRU entries on the same shard.
 //!
@@ -38,15 +39,16 @@
 //! waits until every accepted request is answered.
 
 use std::path::Path;
+use std::sync::Arc;
 
 use crossbeam::channel::Sender;
 
-use crate::cache::{CacheKey, CacheStats};
+use crate::cache::{self, CacheStats};
 use crate::chain_tier::{self, ChainTierStats, SnapshotError};
 use crate::engine::{chain_cache_json, Engine, EngineConfig};
 use crate::error::ServiceError;
 use crate::metrics::MetricsSnapshot;
-use crate::request::{ScheduleRequest, ScheduleResponse};
+use crate::request::{ScheduleOutcome, ScheduleRequest, ScheduleResponse};
 
 /// N independent engines behind a fingerprint router.
 pub struct EngineShards {
@@ -91,7 +93,7 @@ impl EngineShards {
     /// docs).
     #[must_use]
     pub fn shard_of(&self, request: &ScheduleRequest) -> usize {
-        let fp = CacheKey::for_request(request).chain_fingerprint();
+        let fp = cache::chain_fingerprint(request);
         // Fibonacci remix, routed on the high bits — decorrelated from
         // the cache's low-bit `% cache_shards` reduction (see module
         // docs).
@@ -103,6 +105,14 @@ impl EngineShards {
     #[must_use]
     pub fn shard(&self, idx: usize) -> &Engine {
         &self.shards[idx]
+    }
+
+    /// Answers `request` from its shard's exact LRU, routed like a
+    /// submission. Same contract as [`Engine::answer_from_cache`]: `None`
+    /// counts nothing, and the request then takes the queue.
+    #[must_use]
+    pub fn answer_from_cache(&self, request: &ScheduleRequest) -> Option<Arc<ScheduleOutcome>> {
+        self.shards[self.shard_of(request)].answer_from_cache(request)
     }
 
     /// Non-blocking submission, routed by fingerprint. Same contract as

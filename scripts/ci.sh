@@ -58,13 +58,19 @@ cargo run --release -p amp-conformance -- --energy-only --seeds 1000 --max-tasks
 cargo run --release -p amp-experiments --bin energy_sweep -- --smoke --out target/ci/BENCH_energy.json
 
 # Wire hot-path gates, release mode: the zero-steady-state-allocation
-# gate (a warm pump cycle — rent pooled buffer, stream-render, corked
-# vectored write, recycle — must perform zero heap allocations under the
-# counting allocator, and one stray allocation per cycle must trip it),
-# the corked-write ordering gate (pipelined valid/malformed mix over one
-# socket: no torn frames, engine order preserved), and the JoinHandle-reap
-# gate (1000 connection churns must not accumulate reader handles).
-cargo test --release -q -p amp-net --test wire_alloc --test wire_order --test handle_reap
+# gates (a warm pump cycle — rent pooled buffer, stream-render, corked
+# vectored write, recycle — and a warm cork of edge hits — LRU probe by
+# borrowed key, render of the shared outcome — must perform zero heap
+# allocations under the counting allocator; one stray allocation per
+# cycle, or one outcome copy per hit, must trip them), the ordering gates
+# (pipelined valid/malformed mix over one socket: no torn frames, engine
+# order preserved; a cache hit behind a held miss answered after it), the
+# count gates (the wire audit with its cache counters, LRU hits answered
+# by an idle connection's reader while the only worker is held, edge
+# replies byte-identical to the engine path's, typed OVERLOADED, the pool
+# sweep and warm restart) and the JoinHandle-reap gate (1000 connection
+# churns must not accumulate reader handles).
+cargo test --release -q -p amp-net --test wire_alloc --test wire_order --test count_gates --test handle_reap
 
 # Reconfiguration gate: the live-migration battery over a wide seed
 # window — incremental re-solves over a scripted pool sequence
